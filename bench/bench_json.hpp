@@ -164,20 +164,17 @@ private:
 /// events_executed, wall_clock_seconds and derived events_per_sec onto
 /// the root object. Wall-clock includes setup/teardown around the sim
 /// loops, so treat events_per_sec here as a trend signal; the controlled
-/// number lives in BENCH_sim_throughput.json.
+/// number lives in BENCH_sim_throughput.json, which stamps these fields
+/// from its best sequential trial instead.
 class SimSpeedMeter {
 public:
     SimSpeedMeter()
         : start_{std::chrono::steady_clock::now()},
           start_events_{sim::Simulator::process_events_executed()} {}
 
-    /// `external_events` covers simulated events a bench ran in child
-    /// processes (the throughput macro-bench measures each trial in a
-    /// fresh process), which the in-process counter cannot see.
-    void stamp(BenchJson& json, std::uint64_t external_events = 0) const {
+    void stamp(BenchJson& json) const {
         const std::uint64_t events =
-            sim::Simulator::process_events_executed() - start_events_ +
-            external_events;
+            sim::Simulator::process_events_executed() - start_events_;
         const double seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           start_)

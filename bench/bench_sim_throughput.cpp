@@ -1,23 +1,18 @@
-// Netsim fast-path macro-bench: pooled frames + flat event queue.
+// Netsim throughput macro-bench: pooled frames + flat event queue.
 //
 // One binary, one multi-tenant workload — a fat-tree fabric (k=16 at
 // scale 1: 1024 hosts, 320 switches) concurrently carrying a
 // closed-loop kv service (switch cache + controller live), a two-round
 // DAIET aggregation job, and a cross-pod echo sweep — measured as
-// interleaved fresh-process trials (compat, fast, compat, fast; the
-// binary re-execs itself per trial):
+// fresh-process trials (the binary re-execs itself per trial):
 //
-//   * compat — set_fastpath_compat(true): the pre-fast-path cost model
-//     (std::function event queue, deep frame copies, no pooling),
-//     measured in-binary as the baseline. One workload run per child.
-//   * fast — the fast path; each child runs the workload twice (cold
-//     pool, then warm pool) so the steady-state allocation gates see a
-//     warmed free list.
-//   * traced — the fast path with the trace/ ring flight recorder live
-//     (one child at the end): tracks what recording every hop costs.
-//     The fast trials run with tracing disabled, so the disabled-hook
-//     cost is priced into the speedup gate itself.
-//   * parN — the fast path under the parallel sharded simulator
+//   * fast — the sequential simulator; each child runs the workload
+//     twice (cold pool, then warm pool) so the steady-state allocation
+//     gates see a warmed free list. Two children.
+//   * traced — the fast trial with the trace/ ring flight recorder live
+//     (one child): tracks what recording every hop costs. The fast
+//     trials run with tracing disabled, so they price the disabled hooks.
+//   * parN — the same workload under the parallel sharded simulator
 //     (netsim/parallel.hpp): the fat-tree partitioned one pod per
 //     shard, driven by N worker threads through conservative time
 //     windows. One child per thread count in {1, 2, 4} (capped by
@@ -37,25 +32,28 @@
 //     throughput.
 //
 // Fresh processes keep one mode's heap churn from contaminating the
-// other's measurement, and the speedup gate compares each mode's best
+// other's measurement, and the overhead gates compare each mode's best
 // trial, so a burst of machine noise cannot flip the verdict.
 //
 // Gates (any failure exits nonzero — the bench doubles as a CI gate):
-//   * speedup: fast events/sec >= 2.0x compat at scale >= 1 (1.3x at
-//     reduced scale, where fixed setup costs dominate short runs);
-//   * determinism: all three runs execute the same number of events,
-//     reach the same final sim time and produce bit-identical value
-//     histories (kv client logs + reducer outputs) — the compat shim
-//     doubles as a semantic oracle for the fast path;
-//   * zero steady-state allocation on run C: no frame slab leaves the
-//     heap (pool-stats delta == 0 — every delivered frame rides a
-//     recycled slab) and no per-frame event closure is heap-boxed
+//   * golden schedule: at a scale in kGolden (0.05, 0.25 and 1), the
+//     sequential run's event count, signature and final sim time equal
+//     the committed constants — the schedule is pinned across commits;
+//   * determinism: every sequential run repeats the first one's event
+//     count, final sim time and value histories bit for bit;
+//   * tracing: the ring-traced trial keeps >= 50% of the fast rate;
+//   * parallel: parity across parN (see above), par4 >= 1.8x at scale 1
+//     on >= 4 hardware threads, and profN within 15% of parN;
+//   * zero steady-state allocation on the warm run: no frame slab
+//     leaves the heap (pool-stats delta == 0 — every delivered frame
+//     rides a recycled slab) and no per-frame event closure is heap-boxed
 //     (boxed actions stay within the O(sending hosts) per-round setup
 //     closures, which carry a vector of send work and are the only
 //     legitimate oversize captures).
 //
-// Writes BENCH_sim_throughput.json. DAIET_SCALE scales the fabric
-// arity and the per-client request count.
+// Writes BENCH_sim_throughput.json; its root events_per_sec is the best
+// sequential fast trial's rate. DAIET_SCALE scales the fabric arity and
+// the per-client request count.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -118,6 +116,22 @@ Shape shape_for(double scale) {
     s.echo_legs = std::max<std::size_t>(bench::scaled(12000), 600);
     return s;
 }
+
+/// The sequential schedule per DAIET_SCALE, captured from the last build
+/// whose fast path was gated bit-identical to the pre-fast-path cost
+/// model. Pinned constants: update deliberately and record it in
+/// CHANGES.md.
+struct GoldenSchedule {
+    double scale;
+    std::uint64_t events;
+    std::uint64_t signature;
+    sim::SimTime final_time;
+};
+constexpr GoldenSchedule kGolden[] = {
+    {0.05, 11'420, 0xb03edbb7219b4d58ULL, 6'004'400},
+    {0.25, 342'145, 0x7ed4bfcc1598bba7ULL, 29'748'212},
+    {1.0, 13'469'295, 0x2115566ae397fbb6ULL, 975'969'086},
+};
 
 /// Order-sensitive FNV-1a accumulator: any reordering of deliveries,
 /// any changed value, any extra or missing event shifts the digest.
@@ -529,15 +543,13 @@ bool run_child(const char* mode, const char* suffix, std::vector<Trial>& out,
 }  // namespace
 
 int main() {
-    const bench::SimSpeedMeter sim_speed;
     const double scale = bench::scale_factor();
     const Shape s = shape_for(scale);
 
-    // Profiling hook: DAIET_BENCH_PROFILE=fast|compat runs the workload
-    // once in that mode and exits, so a profiler sees a single clean
-    // run instead of the three-run gate harness.
+    // Profiling hook: DAIET_BENCH_PROFILE=fast runs the sequential
+    // workload once and exits, so a profiler sees a single clean run
+    // instead of the trial harness.
     if (const char* mode = std::getenv("DAIET_BENCH_PROFILE")) {
-        set_fastpath_compat(std::string_view{mode} == "compat");
         const RunResult r = run_workload(s);
         std::printf("%s: %llu events in %.3fs (%.0f events/sec)\n", mode,
                     static_cast<unsigned long long>(r.events), r.exec_seconds,
@@ -545,9 +557,8 @@ int main() {
         return 0;
     }
 
-    // Child mode: one fresh-process measurement trial. A compat child
-    // runs the workload once under the pre-fast-path cost model; a fast
-    // child runs it twice — cold pool, then warm pool — so the
+    // Child mode: one fresh-process measurement trial. A fast child runs
+    // the workload twice — cold pool, then warm pool — so the
     // steady-state allocation gates see a warmed free list.
     if (const char* mode = std::getenv("DAIET_BENCH_CHILD")) {
         const std::string_view m{mode};
@@ -559,7 +570,6 @@ int main() {
         if (m.rfind("prof", 0) == 0) {
             const std::size_t threads = std::max<std::size_t>(
                 static_cast<std::size_t>(std::atoi(mode + 4)), 1);
-            set_fastpath_compat(false);
             trace::profiler().enable();
             const RunResult r = run_workload(s, threads, /*profiled=*/true);
             print_result(mode, r);
@@ -594,28 +604,22 @@ int main() {
         if (m.rfind("par", 0) == 0) {
             const std::size_t threads =
                 static_cast<std::size_t>(std::atoi(mode + 3));
-            set_fastpath_compat(false);
             const RunResult r = run_workload(s, std::max<std::size_t>(threads, 1));
             print_result(mode, r);
             return 0;
         }
-        const bool compat = m == "compat";
         const bool traced = m == "traced";
-        set_fastpath_compat(compat);
         // A traced child measures the fast path with the ring flight
         // recorder live: every hop records a span into a fixed buffer.
         // The plain fast children run with tracing disabled — they are
         // the "hooks must be invisible when off" measurement.
         if (traced) trace::tracer().enable_ring(std::size_t{1} << 16);
         const RunResult r1 = run_workload(s);
-        print_result(compat ? "compat" : (traced ? "traced" : "fast"), r1);
-        if (!compat) {
-            const RunResult r2 = run_workload(s);
-            print_result(traced ? "traced-warm" : "fast-warm", r2);
-        }
+        print_result(traced ? "traced" : "fast", r1);
+        const RunResult r2 = run_workload(s);
+        print_result(traced ? "traced-warm" : "fast-warm", r2);
         return 0;
     }
-    const double threshold = scale >= 1.0 ? 2.0 : 1.3;
 
     std::printf(
         "sim throughput macro-bench: fat-tree k=%zu (%zu hosts), %zu kv "
@@ -642,23 +646,12 @@ int main() {
         .integer("pairs_per_mapper", s.pairs_per_mapper)
         .integer("agg_rounds", s.rounds)
         .integer("echo_legs_per_pair", s.echo_legs)
-        .number("speedup_threshold", threshold)
         .number("scale", scale);
 
-    // Interleaved fresh-process trials: two children of each mode,
-    // alternating. Each trial gets a pristine heap (in-process
-    // back-to-back runs contaminate each other's allocator state), and
-    // the speedup gate compares each mode's best trial so a burst of
-    // machine noise landing on one trial cannot flip the verdict.
     std::vector<Trial> trials;
     bool healthy = true;
-    healthy &= run_child("compat", "", trials);
     healthy &= run_child("fast", "", trials);
-    healthy &= run_child("compat", "#2", trials);
     healthy &= run_child("fast", "#2", trials);
-    // One traced trial: the fast path with the ring flight recorder
-    // live, so the cost of tracing when it is ON is a tracked number
-    // (the fast trials above already price the hooks when OFF).
     healthy &= run_child("traced", "", trials);
     // Parallel trials: one child per thread count. DAIET_THREADS caps
     // the set (the CI smoke runs with DAIET_THREADS=2 to keep it
@@ -679,10 +672,10 @@ int main() {
     // Profiled trials at the widest parN that ran: the parN schedule
     // with the self-profiler and the fabric sampler both live, so the
     // observer cost and the utilization split are tracked numbers. Two
-    // trials of each side, interleaved like the compat/fast pairs — the
-    // overhead gate compares best against best, so one noisy trial on a
-    // shared box cannot fake (or mask) a regression. The attribution
-    // folded into the JSON comes from the first profiled child only.
+    // trials of each side, interleaved — the overhead gate compares best
+    // against best, so one noisy trial on a shared box cannot fake (or
+    // mask) a regression. The attribution folded into the JSON comes
+    // from the first profiled child only.
     std::vector<std::string> prof_lines;
     if (prof_threads > 0) {
         const std::string mode = "prof" + std::to_string(prof_threads);
@@ -698,10 +691,8 @@ int main() {
 
     std::printf("%-12s %12s %10s %14s %18s\n", "run", "events", "wall_s",
                 "events/sec", "signature");
-    std::uint64_t total_events = 0;
     for (const Trial& t : trials) {
         const RunResult& r = t.r;
-        total_events += r.events;
         std::printf("%-12s %12llu %10.3f %14.0f %018llx\n", t.label.c_str(),
                     static_cast<unsigned long long>(r.events), r.exec_seconds,
                     r.events_per_sec,
@@ -722,9 +713,10 @@ int main() {
             .integer("echo_messages", r.echo_messages);
     }
 
-    double compat_eps = 0, fast_eps = 0, traced_eps = 0;
+    double traced_eps = 0;
     double par1_eps = 0, par4_eps = 0;
     double prof_eps = 0, prof_base_eps = 0;
+    RunResult best_fast;
     const RunResult* warm = nullptr;
     std::vector<const Trial*> par_trials;
     const std::string prof_base_label = "par" + std::to_string(prof_threads);
@@ -732,9 +724,7 @@ int main() {
         if (t.label.rfind(prof_base_label, 0) == 0) {
             prof_base_eps = std::max(prof_base_eps, t.r.events_per_sec);
         }
-        if (t.label.rfind("compat", 0) == 0) {
-            compat_eps = std::max(compat_eps, t.r.events_per_sec);
-        } else if (t.label.rfind("traced", 0) == 0) {
+        if (t.label.rfind("traced", 0) == 0) {
             traced_eps = std::max(traced_eps, t.r.events_per_sec);
         } else if (t.label.rfind("prof", 0) == 0) {
             // Same schedule as the parN group — parity-checked with it.
@@ -748,23 +738,16 @@ int main() {
             if (t.label.rfind("par4", 0) == 0) {
                 par4_eps = std::max(par4_eps, t.r.events_per_sec);
             }
-        } else {
-            fast_eps = std::max(fast_eps, t.r.events_per_sec);
+        } else if (t.r.events_per_sec > best_fast.events_per_sec) {
+            best_fast = t.r;
         }
         if (t.label.rfind("fast-warm", 0) == 0) warm = &t.r;
     }
-    const double speedup = compat_eps > 0 ? fast_eps / compat_eps : 0.0;
-    std::printf("\nspeedup: %.2fx (gate: >= %.1fx)\n", speedup, threshold);
-    if (speedup < threshold) {
-        std::puts("FAIL: fast path did not clear the speedup gate");
-        healthy = false;
-    }
+    const double fast_eps = best_fast.events_per_sec;
+    std::printf("\nsequential fast: %.0f events/sec (best trial)\n", fast_eps);
 
-    // Tracing cost, both sides. Hooks-off: the fast trials run with
-    // tracing disabled, so the hook branches are priced into the
-    // speedup gate above — a hook regression shows up as a speedup
-    // regression. Recorder-on: the ring-traced trial must keep most of
-    // the fast path's headroom (every hop records a 40-byte span).
+    // Tracing cost with the recorder on: the ring-traced trial must keep
+    // most of the fast trials' rate (every hop records a 40-byte span).
     const double traced_overhead =
         fast_eps > 0 ? 1.0 - traced_eps / fast_eps : 1.0;
     std::printf("ring-traced fast path: %.1f%% overhead vs untraced "
@@ -873,8 +856,9 @@ int main() {
         healthy = false;
     }
 
-    // Determinism: compat vs fast is the semantic oracle; repeated
-    // trials of the same mode are the repeatability oracle. The parN
+    // Determinism: every sequential trial must repeat the first fast
+    // trial bit for bit, and at a golden scale that trial must match the
+    // committed schedule (kGolden) — the cross-commit oracle. The parN
     // trials form their own parity group — each shard-boundary delivery
     // adds one bookkeeping event, and same-tick arrivals at a switch
     // drain in (shard, FIFO) order rather than global schedule order,
@@ -892,9 +876,24 @@ int main() {
         if (t.label.rfind("prof", 0) == 0) continue;
         if (t.r.signature != oracle.signature || t.r.events != oracle.events ||
             t.r.final_time != oracle.final_time) {
-            std::printf("FAIL: %s diverged from the compat oracle "
+            std::printf("FAIL: %s diverged from %s "
                         "(signature/events/final time)\n",
-                        t.label.c_str());
+                        t.label.c_str(), trials.front().label.c_str());
+            deterministic = false;
+            healthy = false;
+        }
+    }
+    for (const GoldenSchedule& g : kGolden) {
+        if (g.scale != scale) continue;
+        std::printf("golden schedule: events=%llu sig=%016llx final=%llu\n",
+                    static_cast<unsigned long long>(g.events),
+                    static_cast<unsigned long long>(g.signature),
+                    static_cast<unsigned long long>(g.final_time));
+        if (oracle.events != g.events || oracle.signature != g.signature ||
+            oracle.final_time != g.final_time) {
+            std::printf("FAIL: %s left the golden schedule (final=%llu)\n",
+                        trials.front().label.c_str(),
+                        static_cast<unsigned long long>(oracle.final_time));
             deterministic = false;
             healthy = false;
         }
@@ -972,9 +971,13 @@ int main() {
         healthy = false;
     }
 
+    // The root rate is the best sequential fast trial's (what
+    // tools/bench_compare tracks), not a rate over every child trial.
     json.root()
-        .number("speedup", speedup)
-        .number("compat_events_per_sec", compat_eps)
+        .integer("events_executed", best_fast.events)
+        .number("wall_clock_seconds", best_fast.exec_seconds)
+        .number("events_per_sec", fast_eps)
+        .integer("threads", 1)
         .number("fast_events_per_sec", fast_eps)
         .number("traced_events_per_sec", traced_eps)
         .number("par1_events_per_sec", par1_eps)
@@ -990,7 +993,6 @@ int main() {
                  warm != nullptr ? warm->frame_heap_allocs : 0)
         .integer("warm_boxed_actions",
                  warm != nullptr ? warm->boxed_actions : 0);
-    sim_speed.stamp(json, total_events);
     json.write();
     std::puts("\nwrote BENCH_sim_throughput.json");
     return healthy ? 0 : 1;

@@ -121,7 +121,9 @@ private:
         ensure_room(n);
         const auto* p = static_cast<const std::byte*>(data);
         if (fixed_mode_) {
-            std::memcpy(fixed_.data() + fixed_size_, p, n);
+            // An empty span may carry a null data pointer, and memcpy
+            // from null is undefined even for zero bytes.
+            if (n != 0) std::memcpy(fixed_.data() + fixed_size_, p, n);
             fixed_size_ += n;
         } else {
             buf_.insert(buf_.end(), p, p + n);

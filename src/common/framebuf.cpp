@@ -5,13 +5,7 @@
 
 namespace daiet {
 
-namespace detail {
-bool g_fastpath_compat = false;
-}  // namespace detail
-
 namespace {
-
-bool& g_fastpath_compat = detail::g_fastpath_compat;
 
 /// Per-thread slab free list. The destructor releases parked slabs at
 /// thread exit so leak checkers see a clean heap.
@@ -28,12 +22,10 @@ FramePool::~FramePool() { FrameBuf::trim_pool(); }
 
 }  // namespace
 
-void set_fastpath_compat(bool on) noexcept { detail::g_fastpath_compat = on; }
-
 FrameBuf FrameBuf::allocate(std::size_t size) {
     static_assert(sizeof(Slab) <= kHeaderSize);
     Slab* slab = nullptr;
-    if (!g_fastpath_compat && size <= kSlabCapacity && g_pool.free_head != nullptr) {
+    if (size <= kSlabCapacity && g_pool.free_head != nullptr) {
         slab = static_cast<Slab*>(g_pool.free_head);
         g_pool.free_head = slab->next_free;
         slab->refs = 1;
@@ -42,7 +34,7 @@ FrameBuf FrameBuf::allocate(std::size_t size) {
         ++g_pool.stats.reuses;
         --g_pool.stats.free_slabs;
     } else {
-        const bool pooled = !g_fastpath_compat && size <= kSlabCapacity;
+        const bool pooled = size <= kSlabCapacity;
         const std::size_t capacity = pooled ? kSlabCapacity : size;
         void* raw = ::operator new(kHeaderSize + capacity);
         slab = new (raw) Slab{};
@@ -69,13 +61,6 @@ FrameBuf FrameBuf::copy_of(std::span<const std::byte> bytes) {
 FrameBuf::FrameBuf(const std::vector<std::byte>& bytes)
     : FrameBuf{copy_of(std::span<const std::byte>{bytes})} {}
 
-void FrameBuf::init_deep_copy(const FrameBuf& other) noexcept {
-    // Pre-fast-path cost model: copies were deep.
-    slab_ = nullptr;
-    *this = copy_of(other.bytes());
-    if (slab_ != nullptr) slab_->trace_id = other.trace_id();
-}
-
 FrameBuf& FrameBuf::operator=(const FrameBuf& other) noexcept {
     if (this == &other) return *this;
     FrameBuf copy{other};
@@ -99,7 +84,7 @@ std::span<std::byte> FrameBuf::mutable_bytes() {
 }
 
 void FrameBuf::release_slab(Slab* slab) noexcept {
-    if (slab->pooled && !g_fastpath_compat) {
+    if (slab->pooled) {
         slab->next_free = static_cast<Slab*>(g_pool.free_head);
         g_pool.free_head = slab;
         ++g_pool.stats.free_slabs;

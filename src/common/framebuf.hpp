@@ -11,13 +11,6 @@
 // Thread model: the simulator is single-threaded; the pool and the
 // refcounts are deliberately non-atomic and per-thread (each thread gets
 // its own free list, so parallel test shards never contend or race).
-//
-// The compat switch (set_fastpath_compat) restores the pre-fast-path
-// cost model — every allocation is a fresh heap block, every copy is a
-// deep copy — without changing observable behaviour. It exists so
-// bench_sim_throughput can measure the speedup against the old event
-// loop inside a single binary, and doubles as a semantic oracle: a
-// compat run and a fast run of the same seed must be bit-identical.
 #pragma once
 
 #include <cstddef>
@@ -26,19 +19,6 @@
 #include <vector>
 
 namespace daiet {
-
-namespace detail {
-/// Backing flag for fastpath_compat(); use the accessors below.
-extern bool g_fastpath_compat;
-}  // namespace detail
-
-/// Pre-fast-path cost-model shim: true routes the simulator event queue,
-/// the frame pool and the dataplane scratch paths through their
-/// pre-optimization allocation patterns. Read at Simulator construction
-/// and at every frame allocation; flip it only between simulations.
-/// Inline: this sits on the per-hop fast path several times per frame.
-inline bool fastpath_compat() noexcept { return detail::g_fastpath_compat; }
-void set_fastpath_compat(bool on) noexcept;
 
 /// Allocation counters for the per-thread slab pool (monotonic, never
 /// reset): the observability behind the "zero steady-state heap
@@ -61,7 +41,7 @@ public:
 
     FrameBuf() noexcept = default;
 
-    /// Compat bridge for callers that still assemble bytes in a vector
+    /// Bridge for callers that still assemble bytes in a vector
     /// (tests, hand-built probe frames). Copies into a slab.
     FrameBuf(const std::vector<std::byte>& bytes);  // NOLINT(google-explicit-constructor)
 
@@ -72,16 +52,10 @@ public:
     /// Copy of `bytes` in a pooled slab.
     static FrameBuf copy_of(std::span<const std::byte> bytes);
 
-    /// Copies are a refcount bump; under compat they deep-copy (the
-    /// pre-fast-path cost model). Inline because the fabric copies a
+    /// Copies are a refcount bump. Inline because the fabric copies a
     /// frame several times per hop (closure capture, fan-out, parse).
     FrameBuf(const FrameBuf& other) noexcept : slab_{other.slab_} {
-        if (slab_ == nullptr) return;
-        if (detail::g_fastpath_compat) {
-            init_deep_copy(other);
-            return;
-        }
-        ++slab_->refs;
+        if (slab_ != nullptr) ++slab_->refs;
     }
     FrameBuf& operator=(const FrameBuf& other) noexcept;
     FrameBuf(FrameBuf&& other) noexcept : slab_{other.slab_} { other.slab_ = nullptr; }
@@ -122,7 +96,7 @@ public:
     /// propagation across link queues, fan-out copies and closure
     /// captures is the refcount bump itself. 0 = untraced. allocate()
     /// zeroes it (slab reuse must not leak ids across frames); the CoW
-    /// clone and the compat deep copy both preserve it.
+    /// clone preserves it.
     std::uint64_t trace_id() const noexcept { return slab_ ? slab_->trace_id : 0; }
     void set_trace_id(std::uint64_t id) noexcept {
         if (slab_ != nullptr) slab_->trace_id = id;
@@ -164,7 +138,6 @@ private:
         if (--slab->refs == 0) release_slab(slab);
     }
     static void release_slab(Slab* slab) noexcept;
-    void init_deep_copy(const FrameBuf& other) noexcept;
 
     Slab* slab_{nullptr};
 };

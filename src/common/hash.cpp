@@ -3,8 +3,6 @@
 #include <bit>
 #include <cstring>
 
-#include "common/framebuf.hpp"  // fastpath_compat()
-
 namespace daiet {
 
 namespace {
@@ -44,20 +42,17 @@ std::uint32_t Crc32::compute(std::span<const std::byte> data) noexcept {
     std::uint32_t c = 0xffffffffU;
     const std::byte* p = data.data();
     std::size_t n = data.size();
-    // Slicing-by-4 (gated: the compat baseline keeps the pre-fast-path
-    // byte-at-a-time loop). The word load is little-endian math, so big-
-    // endian targets fall through to the byte loop — same CRC either way.
+    // Slicing-by-4. The word load is little-endian math, so big-endian
+    // targets fall through to the byte loop — same CRC either way.
     if constexpr (std::endian::native == std::endian::little) {
-        if (!fastpath_compat()) {
-            for (; n >= 4; n -= 4, p += 4) {
-                std::uint32_t w;
-                std::memcpy(&w, p, sizeof w);
-                w ^= c;
-                c = kCrc32Tables[3][w & 0xffU] ^
-                    kCrc32Tables[2][(w >> 8) & 0xffU] ^
-                    kCrc32Tables[1][(w >> 16) & 0xffU] ^
-                    kCrc32Tables[0][w >> 24];
-            }
+        for (; n >= 4; n -= 4, p += 4) {
+            std::uint32_t w;
+            std::memcpy(&w, p, sizeof w);
+            w ^= c;
+            c = kCrc32Tables[3][w & 0xffU] ^
+                kCrc32Tables[2][(w >> 8) & 0xffU] ^
+                kCrc32Tables[1][(w >> 16) & 0xffU] ^
+                kCrc32Tables[0][w >> 24];
         }
     }
     for (; n != 0; --n, ++p) {

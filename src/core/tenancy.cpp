@@ -6,7 +6,6 @@
 
 #include "common/bytes.hpp"
 #include "common/contracts.hpp"
-#include "common/framebuf.hpp"  // fastpath_compat()
 #include "trace/trace.hpp"
 
 namespace daiet {
@@ -38,14 +37,11 @@ void FabricRouter::forward(dp::PacketContext& ctx,
     }
     std::size_t choice = 0;
     if (route->count > 1) {
-        // ECMP flow hash over the 5-tuple via the switch hash unit.
-        // The serialized tuple layout is fixed; on the fast path it goes
-        // through a stack buffer instead of a heap-backed ByteWriter
-        // (this runs once per frame per hop). Identical bytes -> the
-        // same CRC -> the same route choice either way.
+        // ECMP flow hash over the 5-tuple via the switch hash unit. The
+        // serialized tuple layout is fixed, so it goes through a stack
+        // buffer (this runs once per frame per hop).
         std::byte tuple[13];
-        ByteWriter w = fastpath_compat() ? ByteWriter{}
-                                         : ByteWriter{std::span<std::byte>{tuple}};
+        ByteWriter w{std::span<std::byte>{tuple}};
         w.put_u32(frame.ip.src);
         w.put_u32(frame.ip.dst);
         w.put_u8(frame.ip.protocol);
@@ -57,22 +53,14 @@ void FabricRouter::forward(dp::PacketContext& ctx,
             w.put_u16(frame.tcp->dst_port);
         }
         // ECMP sets in a fat tree are nearly always a power of two, so
-        // on the fast path the hot modulo strength-reduces to a mask
-        // (identical value) and the bounce-back wrap needs no division;
-        // compat keeps the pre-fast-path divide-per-selection cost.
+        // the hot modulo strength-reduces to a mask (identical value) and
+        // the bounce-back wrap needs no division.
         const std::uint32_t h = ctx.hash(w.bytes());
         const std::uint32_t n = route->count;
-        if (fastpath_compat()) {
-            choice = h % n;
-            if (route->ports[choice] == ctx.packet().meta().ingress_port) {
-                choice = (choice + 1) % n;
-            }
-        } else {
-            choice = (n & (n - 1)) == 0 ? (h & (n - 1)) : (h % n);
-            if (route->ports[choice] == ctx.packet().meta().ingress_port) {
-                ++choice;
-                if (choice == n) choice = 0;
-            }
+        choice = (n & (n - 1)) == 0 ? (h & (n - 1)) : (h % n);
+        if (route->ports[choice] == ctx.packet().meta().ingress_port) {
+            ++choice;
+            if (choice == n) choice = 0;
         }
     }
     ctx.set_egress(route->ports[choice]);
@@ -82,19 +70,17 @@ void FabricRouter::forward(dp::PacketContext& ctx,
 
 std::optional<sim::ParsedFrame> parse_frame_with_ops(dp::PacketContext& ctx) {
     ctx.count_op(dp::OpKind::kParse);  // Ethernet
-    // Fast path: the context caches the parse across tenants and
-    // recirculation passes of one packet, so only the first entry pays
-    // the byte extraction. The kParse op charges are identical either
-    // way — the RMT machine still runs its parse stages every pass; the
-    // cache removes host-simulation work, not modeled switch work.
-    if (!fastpath_compat()) {
-        if (const sim::ParsedFrame* cached = ctx.cached_parsed_frame()) {
-            ctx.count_op(dp::OpKind::kParse);  // IPv4
-            if (cached->udp) {
-                ctx.count_op(dp::OpKind::kParse);  // UDP
-            }
-            return *cached;
+    // The context caches the parse across tenants and recirculation
+    // passes of one packet, so only the first entry pays the byte
+    // extraction. The kParse op charges land on every pass — the RMT
+    // machine still runs its parse stages; the cache removes
+    // host-simulation work, not modeled switch work.
+    if (const sim::ParsedFrame* cached = ctx.cached_parsed_frame()) {
+        ctx.count_op(dp::OpKind::kParse);  // IPv4
+        if (cached->udp) {
+            ctx.count_op(dp::OpKind::kParse);  // UDP
         }
+        return *cached;
     }
     auto frame = sim::parse_frame(ctx.packet().payload());
     if (!frame) {
@@ -105,22 +91,19 @@ std::optional<sim::ParsedFrame> parse_frame_with_ops(dp::PacketContext& ctx) {
     if (frame->udp) {
         ctx.count_op(dp::OpKind::kParse);  // UDP
     }
-    if (!fastpath_compat()) ctx.cache_parsed_frame(*frame);
+    ctx.cache_parsed_frame(*frame);
     return frame;
 }
 
 namespace {
 
-/// The one dispatch loop both the mux and standalone tenants run.
-/// Templated on the tenant handle: the fast path iterates borrowed raw
-/// pointers (this runs per frame per hop, and the callers own the
-/// tenants for the duration of the call) and passes only the tenants
-/// with a real observe() tap in `observers`; compat keeps the
-/// pre-fast-path shared_ptr iteration over every tenant, filter off.
-template <typename TenantPtr>
+/// The one dispatch loop both the mux and standalone tenants run. It
+/// iterates borrowed raw pointers (this runs per frame per hop, and the
+/// callers own the tenants for the duration of the call); `observers`
+/// holds only the tenants with a real observe() tap.
 void dispatch(dp::PacketContext& ctx, const FabricRouter& router,
-              std::span<const TenantPtr> observers,
-              std::span<const TenantPtr> tenants,
+              std::span<TenantProgram* const> observers,
+              std::span<TenantProgram* const> tenants,
               const ClaimPortFilter* claim_filter) {
     const auto frame = parse_frame_with_ops(ctx);
     if (!frame) return;
@@ -129,14 +112,14 @@ void dispatch(dp::PacketContext& ctx, const FabricRouter& router,
     // recirculated passes — those re-enter mid-pipeline, after the
     // ingress counters, and must not double-count).
     if (ctx.packet().meta().recirc_count == 0) {
-        for (const auto& tenant : observers) {
+        for (TenantProgram* tenant : observers) {
             tenant->observe(ctx, *frame, payload);
         }
     }
     if (frame->udp &&
         (claim_filter == nullptr || claim_filter->hit(frame->udp->dst_port) ||
          claim_filter->hit(frame->udp->src_port))) {
-        for (const auto& tenant : tenants) {
+        for (TenantProgram* tenant : tenants) {
             if (!tenant->claims(*frame, payload)) continue;
             if (trace::enabled()) {
                 auto& t = trace::tracer();
@@ -166,14 +149,6 @@ TenantProgram::TenantProgram(std::shared_ptr<FabricRouter> router)
 void TenantProgram::on_packet(dp::PacketContext& ctx) {
     // Standalone mode: this tenant is the chip's entire pipeline — it
     // sees every frame, so no claim filter, and its own tap always runs.
-    if (fastpath_compat()) {
-        // Pre-fast-path handle cost: an aliased shared_ptr per packet.
-        const std::shared_ptr<TenantProgram> self{
-            std::shared_ptr<TenantProgram>{}, this};
-        const std::span<const std::shared_ptr<TenantProgram>> all{&self, 1};
-        dispatch(ctx, *router_, all, all, nullptr);
-        return;
-    }
     TenantProgram* self = this;
     const std::span<TenantProgram* const> all{&self, 1};
     dispatch(ctx, *router_, all, all, nullptr);
@@ -215,15 +190,7 @@ TenantProgram* SwitchProgramMux::tenant(std::string_view name) const {
 }
 
 void SwitchProgramMux::on_packet(dp::PacketContext& ctx) {
-    if (fastpath_compat()) {
-        // Pre-fast-path shape: every tenant's tap and claim check runs
-        // on every frame, iterating the owning shared_ptrs.
-        const std::span<const std::shared_ptr<TenantProgram>> all{tenants_};
-        dispatch(ctx, *router_, all, all, nullptr);
-        return;
-    }
-    dispatch(ctx, *router_, std::span<TenantProgram* const>{observers_raw_},
-             std::span<TenantProgram* const>{tenants_raw_},
+    dispatch(ctx, *router_, observers_raw_, tenants_raw_,
              claim_filter_valid_ ? &claim_filter_ : nullptr);
 }
 

@@ -81,7 +81,7 @@ public:
     /// Table lookup for program-emitted packets (charged as one table
     /// application; at most once per pass like any table).
     const RoutePorts* apply(dp::PacketContext& ctx, sim::HostAddr dst) const {
-        if (!fastpath_compat() && dst < kDenseLimit) {
+        if (dst < kDenseLimit) {
             // Dense mirror of the table for low host addresses: same op
             // accounting and single-apply rule, array index instead of a
             // hash lookup on the per-hop path.
@@ -139,7 +139,7 @@ public:
     /// which application block terminates it. Ops performed here are
     /// charged to the packet's pass budget. Default: no-op. A tenant
     /// overriding this MUST also override passive_observer() to return
-    /// true, or the mux fast path will skip its tap.
+    /// true, or the mux will skip its tap.
     virtual void observe(dp::PacketContext& ctx, const sim::ParsedFrame& frame,
                          std::span<const std::byte> payload) {
         (void)ctx;

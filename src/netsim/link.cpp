@@ -67,19 +67,12 @@ void Link::transmit(int from_side, FrameBuf frame) {
     // One-entry memo for the serialization delay: fabric traffic is
     // dominated by a handful of fixed frame sizes, and the memo skips a
     // floating-point divide per frame while returning bit-identical
-    // values (it caches the function's own result). Compat keeps the
-    // pre-fast-path divide-per-frame cost model.
-    SimTime ser;
-    if (fastpath_compat()) {
-        ser = transmission_time_ns(size, params_.gbps);
-    } else {
-        if (size != dir.ser_memo_bytes) {
-            dir.ser_memo_bytes = size;
-            dir.ser_memo_ns = transmission_time_ns(size, params_.gbps);
-        }
-        ser = dir.ser_memo_ns;
+    // values (it caches the function's own result).
+    if (size != dir.ser_memo_bytes) {
+        dir.ser_memo_bytes = size;
+        dir.ser_memo_ns = transmission_time_ns(size, params_.gbps);
     }
-    const SimTime done = start + ser;
+    const SimTime done = start + dir.ser_memo_ns;
     dir.busy_until = done;
     dir.backlog_bytes += size;
     dir.peak_backlog_bytes = std::max(dir.peak_backlog_bytes, dir.backlog_bytes);
@@ -129,9 +122,7 @@ void Link::transmit(int from_side, FrameBuf frame) {
     // Same-tick delivery batching: instead of one scheduled action per
     // frame, park the frame in the direction's sorted FIFO and let one
     // chained drainer dispatch per distinct arrival instant deliver
-    // everything due. Applies identically under the compat shim — this
-    // is a change to the event graph, not to the cost model, so
-    // compat/fast schedule parity is preserved by construction.
+    // everything due.
     dir.pending.push_back({arrival, std::move(frame)});
     if (!dir.drainer_armed) {
         dir.drainer_armed = true;

@@ -5,16 +5,14 @@
 // matters because every experiment in EXPERIMENTS.md must reproduce
 // bit-for-bit from its seed.
 //
-// Fast path (default): POD entries {time, seq, slot} over a slot pool
-// of small-buffer-optimized actions — the common closures (link
-// delivery, host timers) are stored inline, so steady-state scheduling
-// touches no heap. The entries themselves live in a timing wheel for
-// the near future (most events are link deliveries a few microseconds
-// out) with a flat 4-ary heap as the far-future overflow. Compat path
-// (fastpath_compat()): the pre-fast-path std::priority_queue<Event> +
-// std::function loop, kept verbatim so bench_sim_throughput can measure
-// old-vs-new in one binary; both paths use the same (time, seq)
-// ordering and must produce bit-identical schedules.
+// The queue holds POD entries {time, seq, slot} over a slot pool of
+// small-buffer-optimized actions — the common closures (link delivery,
+// host timers) are stored inline, so steady-state scheduling touches no
+// heap. The entries themselves live in a timing wheel for the near
+// future (most events are link deliveries a few microseconds out) with a
+// flat 4-ary heap as the far-future overflow. The schedule is pinned
+// across commits by golden {events, signature, final time} constants in
+// bench_sim_throughput and tests/netsim_test.cpp.
 #pragma once
 
 #include <algorithm>
@@ -23,17 +21,14 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <new>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
-#include "common/framebuf.hpp"  // fastpath_compat()
 #include "netsim/time.hpp"
 #include "trace/profiler.hpp"
 
@@ -41,12 +36,7 @@ namespace daiet::sim {
 
 class Simulator {
 public:
-    using Action = std::function<void()>;
-
-    /// The queue implementation is chosen once, at construction, from
-    /// fastpath_compat() — flipping the knob mid-simulation would split
-    /// events across two queues.
-    Simulator() : compat_{fastpath_compat()} {}
+    Simulator() = default;
 
     Simulator(const Simulator&) = delete;
     Simulator& operator=(const Simulator&) = delete;
@@ -62,11 +52,7 @@ public:
     template <typename F>
     void schedule_at(SimTime at, F&& action) {
         DAIET_EXPECTS(at >= now_);
-        if (compat_) {
-            legacy_.push(LegacyEvent{at, next_seq_++, Action{std::forward<F>(action)}});
-            return;
-        }
-        // The packed 32-bit seq caps one fast-path Simulator at 2^32
+        // The packed 32-bit seq caps one Simulator at 2^32
         // scheduled events — far beyond any experiment here, and checked
         // rather than silently wrapping (a wrap would corrupt the
         // same-instant tie-break).
@@ -82,9 +68,7 @@ public:
     }
 
     SimTime now() const noexcept { return now_; }
-    bool idle() const noexcept {
-        return compat_ ? legacy_.empty() : wheel_count_ + heap_.size() == 0;
-    }
+    bool idle() const noexcept { return wheel_count_ + heap_.size() == 0; }
     std::uint64_t events_executed() const noexcept { return executed_; }
 
     /// "No pending event" sentinel for next_event_at().
@@ -94,7 +78,7 @@ public:
     /// The sharded driver polls this to size conservative windows.
     SimTime next_event_at() {
         if (idle()) return kNever;
-        return compat_ ? legacy_.top().at : fast_next_at();
+        return peek_at();
     }
 
     /// Actions too large (or not nothrow-movable) for a slot's inline
@@ -123,17 +107,12 @@ public:
     }
 
     /// Run until no events remain. Returns the final simulated time.
-    /// The compat branch is hoisted out of the per-event loop.
     SimTime run() {
         // Profiler exec attribution brackets the whole drain (two clock
         // reads per run, not per event); a disabled profiler costs one
         // branch here.
         const trace::ScopedExec prof{executed_};
-        if (compat_) {
-            while (!legacy_.empty()) step_legacy();
-        } else {
-            while (wheel_count_ + heap_.size() != 0) step_fast();
-        }
+        while (!idle()) step();
         return now_;
     }
 
@@ -141,16 +120,7 @@ public:
     /// `deadline`; events after the deadline stay queued and the clock
     /// lands exactly on `deadline`.
     SimTime run_until(SimTime deadline) {
-        if (compat_) {
-            while (!legacy_.empty() && legacy_.top().at <= deadline) {
-                step_legacy();
-            }
-        } else {
-            while (wheel_count_ + heap_.size() != 0 &&
-                   fast_next_at() <= deadline) {
-                step_fast();
-            }
-        }
+        while (!idle() && peek_at() <= deadline) step();
         now_ = std::max(now_, deadline);
         return now_;
     }
@@ -165,18 +135,12 @@ public:
         // No profiler hook here: the parallel driver (the only caller)
         // times windows itself with one chained clock read per shard,
         // half the cost of a begin/end bracket per window.
-        if (compat_) {
-            while (!legacy_.empty() && legacy_.top().at < end) step_legacy();
-        } else {
-            while (wheel_count_ + heap_.size() != 0 && fast_next_at() < end) {
-                step_fast();
-            }
-        }
+        while (!idle() && peek_at() < end) step();
         return now_;
     }
 
 private:
-    // --- fast path: slot pool + flat heap -----------------------------------
+    // --- slot pool + flat heap -----------------------------------------------
 
     static constexpr std::size_t kInlineBytes = 48;
     static constexpr std::uint32_t kNoSlot = 0xffffffff;
@@ -281,7 +245,7 @@ private:
         return a.seq < b.seq;
     }
 
-    // --- fast path: timing wheel over the heap ------------------------------
+    // --- timing wheel over the heap -----------------------------------------
     //
     // Nearly every scheduled event is a link delivery landing one
     // serialization+propagation delay ahead (a microsecond or two);
@@ -396,7 +360,7 @@ private:
         }
     }
 
-    SimTime fast_next_at() {
+    SimTime peek_at() {
         ensure_current();
         return bucket_of(wheel_tick_)[drain_pos_].at;
     }
@@ -439,7 +403,7 @@ private:
         heap_[i] = x;
     }
 
-    void step_fast() {
+    void step() {
         ensure_current();
         const HeapEntry top = bucket_of(wheel_tick_)[drain_pos_++];
         --wheel_count_;
@@ -467,33 +431,6 @@ private:
         slot.vt->run(slot.buf);
     }
 
-    // --- compat path: the pre-fast-path queue, verbatim ---------------------
-
-    struct LegacyEvent {
-        SimTime at;
-        std::uint64_t seq;
-        Action action;
-    };
-
-    struct Later {
-        bool operator()(const LegacyEvent& a, const LegacyEvent& b) const noexcept {
-            if (a.at != b.at) return a.at > b.at;
-            return a.seq > b.seq;
-        }
-    };
-
-    void step_legacy() {
-        // Move out of the queue before executing: the action may
-        // schedule new events and re-heapify the container.
-        LegacyEvent ev = std::move(const_cast<LegacyEvent&>(legacy_.top()));
-        legacy_.pop();
-        now_ = ev.at;
-        ++executed_;
-        ++tl_process_executed_;
-        ev.action();
-    }
-
-    const bool compat_;
     std::vector<HeapEntry> heap_;  ///< overflow: events beyond the wheel window
     std::array<std::vector<HeapEntry>, kWheelBuckets> wheel_;
     std::array<std::uint64_t, kWheelBuckets / 64> occupancy_{};
@@ -504,7 +441,6 @@ private:
     std::vector<std::unique_ptr<ActionSlot[]>> chunks_;
     std::uint32_t slot_count_{0};
     std::uint32_t free_slot_{kNoSlot};
-    std::priority_queue<LegacyEvent, std::vector<LegacyEvent>, Later> legacy_;
     SimTime now_{0};
     std::uint64_t next_seq_{0};
     std::uint64_t executed_{0};

@@ -44,7 +44,7 @@ extern bool g_prof_enabled;
 }  // namespace detail
 
 /// The per-hook gate: an inline read of a plain global, the same idiom
-/// as trace::enabled() and fastpath_compat().
+/// as trace::enabled().
 inline bool profiling() noexcept { return detail::g_prof_enabled; }
 
 class Profiler {

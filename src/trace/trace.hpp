@@ -12,9 +12,10 @@
 //
 // Cost model: tracing is OFF by default and every hook is guarded by
 // `trace::enabled()` — a single predictable branch on a plain global,
-// the same idiom as fastpath_compat(). No hook allocates, formats or
-// locks when tracing is disabled; bench_sim_throughput's fast-path gate
-// runs with tracing off and must be unaffected.
+// the same idiom as trace::profiling(). No hook allocates, formats or
+// locks when tracing is disabled; bench_sim_throughput's untraced trials
+// run with tracing off and its ring-tracing overhead gate measures the
+// difference.
 //
 // Recording modes:
 //   - Full: unbounded append (examples, tests, forensics on small runs).

@@ -159,6 +159,34 @@ TEST(Hash, Crc32MatchesKnownVectors) {
               0x414FA339U);
 }
 
+// Reference CRC-32: one input byte at a time, one polynomial step per
+// bit — no tables, so it shares nothing with the slicing-by-4 loop.
+std::uint32_t crc32_bytewise(std::span<const std::byte> data) {
+    std::uint32_t c = 0xffffffffU;
+    for (const std::byte b : data) {
+        c ^= std::to_integer<std::uint32_t>(b);
+        for (int k = 0; k < 8; ++k) {
+            c = (c & 1U) ? 0xedb88320U ^ (c >> 1) : (c >> 1);
+        }
+    }
+    return c ^ 0xffffffffU;
+}
+
+// Every length through several 4-byte words plus each tail length, at
+// every word misalignment of the start pointer.
+TEST(Hash, Crc32SlicingMatchesBytewiseReference) {
+    std::vector<std::byte> buf(3 + 67);
+    Rng rng{7};
+    for (auto& b : buf) b = static_cast<std::byte>(rng.next_below(256));
+    for (std::size_t offset = 0; offset <= 3; ++offset) {
+        for (std::size_t len = 0; len <= 67; ++len) {
+            const std::span<const std::byte> data{buf.data() + offset, len};
+            EXPECT_EQ(Crc32::compute(data), crc32_bytewise(data))
+                << "offset " << offset << " length " << len;
+        }
+    }
+}
+
 TEST(Hash, SpanAndStringViewAgree) {
     const std::string s = "daiet";
     EXPECT_EQ(Crc32::compute(s), Crc32::compute(as_bytes(s)));

@@ -155,48 +155,45 @@ TEST(DaietProgram, LargeFlushRecirculates) {
     EXPECT_EQ(total, 95U);
 }
 
-// The fast path parses each packet's headers once per pipeline entry
-// and reuses the result across tenants and recirculation passes; the
-// kParse op charges must stay identical to the compat path's
-// parse-every-pass — the cache removes host-simulation work, never
-// modeled RMT work. A recirculating flush is the heaviest multi-pass
-// consumer, so it pins the charge accounting.
+// The pipeline parses each packet's headers once per pipeline entry and
+// reuses the result across tenants and recirculation passes; the kParse
+// op charges still land on every pass — the cache removes
+// host-simulation work, never modeled RMT work. A recirculating flush is
+// the heaviest multi-pass consumer, so it pins the charge accounting.
+// The golden per-kind op counts, recirculations and output digest were
+// captured from the parse-every-pass model. These are pinned constants:
+// update them deliberately and record it in CHANGES.md.
 TEST(DaietProgram, ParsedHeaderReuseChargesIdenticalOpsAcrossPasses) {
-    struct FlagGuard {
-        ~FlagGuard() { set_fastpath_compat(false); }
-    } guard;
-    const auto run = [](bool compat) {
-        set_fastpath_compat(compat);
-        Harness h{tiny_config(512)};
-        std::vector<KvPair> pairs;
-        for (int i = 0; i < 95; ++i) {
-            pairs.push_back(kv("key" + std::to_string(i), i));
-        }
-        for (std::size_t off = 0; off < pairs.size(); off += 10) {
-            const auto n = std::min<std::size_t>(10, pairs.size() - off);
-            h.data(std::span{pairs}.subspan(off, n));
-        }
-        const auto out = h.end();
-        std::vector<std::vector<std::byte>> payloads;
-        for (const auto& p : out) {
-            payloads.emplace_back(p.payload().begin(), p.payload().end());
-        }
-        return std::tuple{h.chip.stats().ops, h.chip.stats().recirculations,
-                          std::move(payloads)};
-    };
-    const auto [fast_ops, fast_recircs, fast_out] = run(false);
-    const auto [compat_ops, compat_recircs, compat_out] = run(true);
-    EXPECT_GT(fast_recircs, 0U);
-    EXPECT_EQ(fast_recircs, compat_recircs);
-    EXPECT_EQ(fast_out, compat_out);
-    for (std::size_t k = 0; k < static_cast<std::size_t>(dp::OpKind::kCount_);
-         ++k) {
-        EXPECT_EQ(fast_ops.by_kind[k], compat_ops.by_kind[k])
-            << "op kind " << k << " diverged between fast and compat";
+    Harness h{tiny_config(512)};
+    std::vector<KvPair> pairs;
+    for (int i = 0; i < 95; ++i) pairs.push_back(kv("key" + std::to_string(i), i));
+    for (std::size_t off = 0; off < pairs.size(); off += 10) {
+        const auto n = std::min<std::size_t>(10, pairs.size() - off);
+        h.data(std::span{pairs}.subspan(off, n));
     }
-    // The cache must actually have fired: multi-pass traffic parses
-    // once per entry on the fast path.
-    EXPECT_GT(fast_ops.of(dp::OpKind::kParse), 0U);
+    const auto out = h.end();
+    // FNV-1a over each output payload's 8-byte length and bytes.
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    const auto fold = [&digest](std::uint64_t byte) {
+        digest = (digest ^ byte) * 0x100000001b3ULL;
+    };
+    for (const auto& p : out) {
+        for (std::size_t i = 0; i < 8; ++i) fold((p.payload().size() >> (8 * i)) & 0xff);
+        for (const std::byte b : p.payload()) fold(std::to_integer<std::uint64_t>(b));
+    }
+    const dp::OpCounters& ops = h.chip.stats().ops;
+    const std::uint64_t recircs = h.chip.stats().recirculations;
+    EXPECT_GT(recircs, 0U);
+    EXPECT_EQ(recircs, 9U);
+    EXPECT_EQ(out.size(), 11U);
+    EXPECT_EQ(digest, 0xfaa868fd198c5d68ULL);
+    const std::uint64_t golden_ops[] = {175, 95, 532, 567, 336, 20};
+    static_assert(std::size(golden_ops) ==
+                  static_cast<std::size_t>(dp::OpKind::kCount_));
+    for (std::size_t k = 0; k < std::size(golden_ops); ++k) {
+        EXPECT_EQ(ops.by_kind[k], golden_ops[k]) << "op kind " << k;
+    }
+    EXPECT_GT(ops.of(dp::OpKind::kParse), 0U);
 }
 
 TEST(DaietProgram, OperationBudgetRespectedAtFullPacketSize) {
