@@ -73,15 +73,6 @@ struct ScalingResult {
     double throughput_per_us{0};  ///< completed requests per microsecond
 };
 
-/// Closed-loop driver: each client keeps at most `kWindow` requests
-/// outstanding and issues the next the moment one completes. Demand
-/// adapts to capacity, so throughput measures the deployment, not the
-/// retry transport's queue-jumping artifacts (a saturated open-loop
-/// run completes via instant ReplyCache replays of RTO retransmissions
-/// — the serial worker's queue gets bypassed and the 1-rack number
-/// inflates past its service capacity).
-constexpr std::size_t kWindow = 8;
-
 ScalingResult run_scaling(std::size_t racks, std::size_t requests) {
     rt::ClusterRuntime rt{shard_fabric()};
     dir::ShardedKvService svc{rt, rack_options(racks)};
@@ -94,43 +85,15 @@ ScalingResult run_scaling(std::size_t racks, std::size_t requests) {
     wl.seed = 11;
     svc.preload(wl.num_keys);
 
-    struct ClientState {
-        std::vector<kv::KvOpSpec> ops;
-        std::size_t next{0};
-        std::size_t inflight{0};
-    };
-    const std::size_t n = svc.num_clients();
-    std::vector<ClientState> state(n);
-    for (std::size_t ci = 0; ci < n; ++ci) {
-        state[ci].ops = kv::client_op_stream(wl, ci, n);
-    }
-    const auto pump = [&](std::size_t ci) {
-        ClientState& s = state[ci];
-        while (s.inflight < kWindow && s.next < s.ops.size()) {
-            const kv::KvOpSpec& op = s.ops[s.next++];
-            ++s.inflight;
-            if (op.is_get) {
-                svc.client(ci).get(op.key);
-            } else {
-                svc.client(ci).put(op.key, op.value);
-            }
-        }
-    };
-    sim::Simulator& sim = rt.simulator();
-    for (std::size_t ci = 0; ci < n; ++ci) {
-        svc.client(ci).on_reply = [&, ci](const kv::KvClient::OpRecord&) {
-            --state[ci].inflight;
-            pump(ci);
-        };
-        sim.schedule_at((1 + ci) * 500 * sim::kNanosecond,
-                        [&pump, ci] { pump(ci); });
-    }
+    // Closed loop: demand adapts to capacity, so throughput measures the
+    // deployment rather than open-loop queueing artifacts.
+    svc.fleet().start_closed_loop(wl);
     // Promotion windows for the rack caches (generous horizon: extra
     // passes after the traffic drains are harmless).
     const sim::SimTime horizon = requests * 12 * sim::kMicrosecond;
     for (sim::SimTime at = 100 * sim::kMicrosecond; at <= horizon;
          at += 100 * sim::kMicrosecond) {
-        sim.schedule_at(at, [&svc] { svc.rebalance_racks(); });
+        rt.simulator().schedule_at(at, [&svc] { svc.rebalance_racks(); });
     }
     rt.run();
 
@@ -140,7 +103,6 @@ ScalingResult run_scaling(std::size_t racks, std::size_t requests) {
                       static_cast<double>(sim::kMicrosecond);
     out.throughput_per_us =
         span <= 0 ? 0.0 : static_cast<double>(out.stats.completed()) / span;
-    for (std::size_t ci = 0; ci < n; ++ci) svc.client(ci).on_reply = nullptr;
     return out;
 }
 
@@ -273,7 +235,7 @@ int main() {
         .number("zipf_s", 0.99)
         .number("get_fraction", 0.75)
         .integer("requests_per_client", requests)
-        .integer("closed_loop_window", kWindow)
+        .integer("closed_loop_window", kv::kClosedLoopWindow)
         .integer("parity_request_interval_us", 15)
         .integer("cache_slots", 64)
         .integer("num_ranges", 64)

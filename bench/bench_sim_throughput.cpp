@@ -177,10 +177,6 @@ struct RunResult {
     std::uint64_t ts_samples{0};
 };
 
-/// Closed-loop window per kv client: demand adapts to capacity, so the
-/// run measures the simulator, not an open-loop queue artifact.
-constexpr std::size_t kWindow = 8;
-
 /// `profiled` arms the continuous observers for this run: the fabric
 /// time-series sampler (queue depths, SRAM, kv cache hits) attached to
 /// the parallel driver's coordinator phase. Only meaningful with
@@ -215,38 +211,11 @@ RunResult run_workload(const Shape& s, std::size_t threads = 0,
     wl.seed = 11;
     svc.preload(wl.num_keys);
 
-    struct ClientState {
-        std::vector<kv::KvOpSpec> ops;
-        std::size_t next{0};
-        std::size_t inflight{0};
-    };
+    // Closed loop: demand adapts to capacity, so the run measures the
+    // simulator, not an open-loop queue artifact. Kickoffs go on each
+    // client host's own simulator.
+    svc.fleet().start_closed_loop(wl);
     const std::size_t n = svc.num_clients();
-    std::vector<ClientState> state(n);
-    for (std::size_t ci = 0; ci < n; ++ci) {
-        state[ci].ops = kv::client_op_stream(wl, ci, n);
-    }
-    const auto pump = [&](std::size_t ci) {
-        ClientState& st = state[ci];
-        while (st.inflight < kWindow && st.next < st.ops.size()) {
-            const kv::KvOpSpec& op = st.ops[st.next++];
-            ++st.inflight;
-            if (op.is_get) {
-                svc.client(ci).get(op.key);
-            } else {
-                svc.client(ci).put(op.key, op.value);
-            }
-        }
-    };
-    for (std::size_t ci = 0; ci < n; ++ci) {
-        svc.client(ci).on_reply = [&, ci](const kv::KvClient::OpRecord&) {
-            --state[ci].inflight;
-            pump(ci);
-        };
-        rt.host(kopts.client_hosts[ci])
-            .simulator()
-            .schedule_at((1 + ci) * 500 * sim::kNanosecond,
-                         [&pump, ci] { pump(ci); });
-    }
     // Promotion windows for the switch cache over the traffic's span.
     // The rebalancer touches the server's store and its edge switch's
     // cache program — both on the server host's shard.
@@ -423,7 +392,6 @@ RunResult run_workload(const Shape& s, std::size_t threads = 0,
     out.kv_completed = kstats.get_replies + kstats.put_acks;
     out.kv_expected = n * s.requests;
     out.hit_rate = kstats.hit_rate();
-    for (std::size_t ci = 0; ci < n; ++ci) svc.client(ci).on_reply = nullptr;
     return out;
 }
 
@@ -626,7 +594,7 @@ int main() {
         "clients x %zu requests (closed-loop window %zu), %zu aggregation "
         "groups x %zu mappers x %zu rounds, cross-pod echo sweep x %zu "
         "legs/pair\n\n",
-        s.k, s.hosts, (s.hosts + 2) / 4, s.requests, kWindow, s.groups,
+        s.k, s.hosts, (s.hosts + 2) / 4, s.requests, kv::kClosedLoopWindow, s.groups,
         s.mappers_per_group, s.rounds, s.echo_legs);
 
     bench::BenchJson json{"sim_throughput"};
@@ -640,7 +608,7 @@ int main() {
         .number("zipf_s", 0.99)
         .number("get_fraction", 0.8)
         .integer("requests_per_client", s.requests)
-        .integer("closed_loop_window", kWindow)
+        .integer("closed_loop_window", kv::kClosedLoopWindow)
         .integer("agg_groups", s.groups)
         .integer("mappers_per_group", s.mappers_per_group)
         .integer("pairs_per_mapper", s.pairs_per_mapper)

@@ -70,6 +70,20 @@ struct EdgeCacheStats {
     std::uint64_t duplicate_invalidations{0};  ///< replayed frames skipped
     std::uint64_t revocations{0};    ///< control-plane range revokes applied
 
+    EdgeCacheStats& operator+=(const EdgeCacheStats& o) noexcept {
+        gets_seen += o.gets_seen;
+        hits += o.hits;
+        misses += o.misses;
+        expired += o.expired;
+        replies_seen += o.replies_seen;
+        cached += o.cached;
+        stale_refused += o.stale_refused;
+        invalidations += o.invalidations;
+        duplicate_invalidations += o.duplicate_invalidations;
+        revocations += o.revocations;
+        return *this;
+    }
+
     double hit_rate() const noexcept {
         return gets_seen == 0
                    ? 0.0

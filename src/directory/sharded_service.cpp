@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "common/contracts.hpp"
-#include "common/stats.hpp"
 #include "runtime/sampler.hpp"
 #include "trace/metrics.hpp"
 
@@ -26,10 +26,9 @@ ShardedKvService::ShardedKvService(rt::ClusterRuntime& rt,
     sim::Network& net = rt.network();
 
     // --- storage racks ------------------------------------------------------
-    std::unordered_set<std::size_t> server_set;
     for (const std::size_t s : options_.server_hosts) {
         DAIET_EXPECTS(s < rt.hosts().size());
-        DAIET_EXPECTS(server_set.insert(s).second);
+        DAIET_EXPECTS(std::ranges::count(options_.server_hosts, s) == 1);
         sim::Host& host = rt.host(s);
         servers_.push_back(
             std::make_unique<kv::KvStoreServer>(host, options_.config));
@@ -52,18 +51,9 @@ ShardedKvService::ShardedKvService(rt::ClusterRuntime& rt,
     }
 
     // --- clients ------------------------------------------------------------
-    if (options_.client_hosts.empty()) {
-        for (std::size_t i = 0; i < rt.hosts().size(); ++i) {
-            if (!server_set.contains(i)) options_.client_hosts.push_back(i);
-        }
-    }
-    DAIET_EXPECTS(!options_.client_hosts.empty());
     const sim::HostAddr service = service_vaddr(options_.directory.service_id);
-    for (const std::size_t i : options_.client_hosts) {
-        DAIET_EXPECTS(i < rt.hosts().size() && !server_set.contains(i));
-        clients_.push_back(
-            std::make_unique<kv::KvClient>(rt.host(i), options_.config, service));
-    }
+    fleet_.emplace(rt, options_.config, service, options_.client_hosts,
+                   options_.server_hosts, "shardedkv");
 
     // --- the directory switch -----------------------------------------------
     directory_node_ = options_.directory_switch;
@@ -100,7 +90,7 @@ ShardedKvService::ShardedKvService(rt::ClusterRuntime& rt,
     std::vector<std::pair<const sim::Node*, sim::HostAddr>> edge_vaddrs;
     if (options_.edge_caches) {
         std::unordered_map<sim::NodeId, EdgeCacheSwitchProgram*> by_node;
-        for (const std::size_t i : options_.client_hosts) {
+        for (const std::size_t i : fleet_->hosts()) {
             sim::Host& host = rt.host(i);
             sim::Node* edge = net.edge_switch_of(host);
             auto* sw = dynamic_cast<sim::PipelineSwitchNode*>(edge);
@@ -153,11 +143,6 @@ kv::KvStoreServer& ShardedKvService::server(std::size_t shard) {
     return *servers_[shard];
 }
 
-kv::KvClient& ShardedKvService::client(std::size_t i) {
-    DAIET_EXPECTS(i < clients_.size());
-    return *clients_[i];
-}
-
 kv::KvCacheSwitchProgram* ShardedKvService::rack_cache(std::size_t shard) {
     DAIET_EXPECTS(shard < racks_.size());
     return racks_[shard].cache.get();
@@ -182,26 +167,16 @@ void ShardedKvService::preload(std::size_t num_keys) {
 }
 
 void ShardedKvService::schedule(const kv::KvWorkload& workload) {
-    DAIET_EXPECTS(workload.num_keys > 0);
-    DAIET_EXPECTS(workload.requests_per_client > 0);
-    DAIET_EXPECTS(workload.get_fraction >= 0.0 && workload.get_fraction <= 1.0);
-    DAIET_EXPECTS(!workload.partition_keys ||
-                  workload.num_keys >= clients_.size());
+    fleet_->schedule(workload);
     preload(workload.num_keys);
-
-    sim::Simulator& sim = rt_->simulator();
-    const std::size_t n_clients = clients_.size();
-    for (std::size_t ci = 0; ci < n_clients; ++ci) {
-        kv::schedule_client_ops(sim, *clients_[ci], workload, ci, n_clients);
-    }
 
     if (options_.rack_caches && workload.rebalance_interval > 0) {
         const sim::SimTime horizon =
-            workload.start + n_clients * workload.client_stagger +
+            workload.start + num_clients() * workload.client_stagger +
             workload.requests_per_client * workload.request_interval;
         for (sim::SimTime at = workload.start + workload.rebalance_interval;
              at <= horizon; at += workload.rebalance_interval) {
-            sim.schedule_at(at, [this] { rebalance_racks(); });
+            rt_->simulator().schedule_at(at, [this] { rebalance_racks(); });
         }
     }
 }
@@ -224,59 +199,20 @@ void ShardedKvService::schedule_rebalances(
 
 ShardedKvRunStats ShardedKvService::collect() const {
     ShardedKvRunStats out;
-    LogHistogram gets;
-    for (const auto& client : clients_) {
-        const kv::KvClient::Stats s = client->stats();
-        out.gets_sent += s.gets_sent;
-        out.puts_sent += s.puts_sent;
-        out.get_replies += s.get_replies;
-        out.put_acks += s.put_acks;
-        out.switch_hits += s.switch_hits;
-        out.edge_hits += s.edge_hits;
-        out.nacks += s.nacks;
-        out.nack_retries += s.nack_retries;
-        out.retransmits += s.retransmits;
-        out.abandoned += s.abandoned;
-        gets.merge(client->get_latency());
-        for (const auto& rec : client->log()) {
-            out.last_completion = std::max(out.last_completion, rec.completed);
-        }
-    }
+    fleet_->collect(out);
     for (const auto& server : servers_) {
         out.server_gets += server->stats().gets;
         out.server_puts += server->stats().puts;
     }
-    if (!gets.empty()) {
-        out.mean_get_ns = gets.mean();
-        out.p50_get_ns = gets.percentile(50.0);
-        out.p99_get_ns = gets.percentile(99.0);
-    }
     out.directory = directory_->stats();
-    for (const auto& edge : edges_) {
-        const EdgeCacheStats& e = edge->stats();
-        out.edges.gets_seen += e.gets_seen;
-        out.edges.hits += e.hits;
-        out.edges.misses += e.misses;
-        out.edges.expired += e.expired;
-        out.edges.replies_seen += e.replies_seen;
-        out.edges.cached += e.cached;
-        out.edges.stale_refused += e.stale_refused;
-        out.edges.invalidations += e.invalidations;
-        out.edges.duplicate_invalidations += e.duplicate_invalidations;
-        out.edges.revocations += e.revocations;
-    }
+    for (const auto& edge : edges_) out.edges += edge->stats();
     out.control = controller_->stats();
 
     // Publish into the process-wide metrics registry (picked up by
     // BenchJson::write and any trace/metrics dump).
     auto& reg = trace::metrics();
-    reg.counter("shardedkv.gets_sent", "shardedkv").set(out.gets_sent);
-    reg.counter("shardedkv.get_replies", "shardedkv").set(out.get_replies);
-    reg.counter("shardedkv.switch_hits", "shardedkv").set(out.switch_hits);
     reg.counter("shardedkv.edge_hits", "shardedkv").set(out.edge_hits);
     reg.counter("shardedkv.nacks", "shardedkv").set(out.nacks);
-    reg.counter("shardedkv.retransmits", "shardedkv").set(out.retransmits);
-    reg.counter("shardedkv.abandoned", "shardedkv").set(out.abandoned);
     reg.counter("shardedkv.gets_steered", "shardedkv", "directory")
         .set(out.directory.gets_steered);
     reg.counter("shardedkv.puts_steered", "shardedkv", "directory")
@@ -288,30 +224,7 @@ ShardedKvRunStats ShardedKvService::collect() const {
                     "shard" + std::to_string(s))
             .set(servers_[s]->stats().gets);
     }
-    reg.histogram("shardedkv.get_latency_ns", "shardedkv").assign(gets);
-
-    if (slo_set_) {
-        slo_ = std::make_unique<trace::SloMonitor>(slo_spec_);
-        const std::uint64_t now = static_cast<std::uint64_t>(rt_->now());
-        for (const auto& client : clients_) {
-            for (const kv::KvClient::OpRecord& rec : client->log()) {
-                slo_->record_success(static_cast<std::uint64_t>(rec.completed),
-                                     static_cast<std::uint64_t>(rec.latency));
-            }
-            for (std::uint64_t i = 0; i < client->stats().abandoned; ++i) {
-                slo_->record_failure(now);
-            }
-        }
-        slo_->publish();
-    }
     return out;
-}
-
-void ShardedKvService::set_slo(trace::SloSpec spec) {
-    if (spec.service.empty()) spec.service = "shardedkv";
-    slo_spec_ = std::move(spec);
-    slo_set_ = true;
-    slo_.reset();
 }
 
 void ShardedKvService::install_probes(rt::FabricSampler& sampler) const {
@@ -327,12 +240,7 @@ void ShardedKvService::install_probes(rt::FabricSampler& sampler) const {
         for (const auto& e : *edges) n += e->stats().hits;
         return static_cast<double>(n);
     });
-    const auto* clients = &clients_;
-    sampler.add_probe("shardedkv.retransmits", "kv-clients", [clients] {
-        std::uint64_t n = 0;
-        for (const auto& c : *clients) n += c->stats().retransmits;
-        return static_cast<double>(n);
-    });
+    fleet_->install_probes(sampler);
 }
 
 ShardedKvRunStats ShardedKvService::run(const kv::KvWorkload& workload) {

@@ -17,14 +17,20 @@
 //     (two-phase, NACK-gated) and rebalances skew off telemetry
 //     rankings.
 //
-// The workload generator replays exactly the per-client op streams of
-// the unsharded KvService (kv::client_op_stream), which is what makes
-// "sharded == unsharded reference" a meaningful value-parity check.
+// The clients are the unsharded service's kv::KvClientFleet, addressed
+// to the service vaddr: both replay the same per-client op streams,
+// which makes "sharded == unsharded reference" a value-parity check.
+//
+// Sequential simulation only: the rack rebalances and the directory
+// controller run on rt.simulator(), which is shard 0 under parallel
+// simulation, yet touch switches and servers on every shard.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "directory/config.hpp"
@@ -62,36 +68,14 @@ struct ShardedKvOptions {
     bool edge_caches{true};
 };
 
-/// Fabric-wide results of one sharded workload run.
-struct ShardedKvRunStats {
-    std::uint64_t gets_sent{0};
-    std::uint64_t puts_sent{0};
-    std::uint64_t get_replies{0};
-    std::uint64_t put_acks{0};
-    std::uint64_t switch_hits{0};  ///< rack + edge hits
-    std::uint64_t edge_hits{0};    ///< subset served at client ToRs
-    std::uint64_t nacks{0};
-    std::uint64_t nack_retries{0};
-    std::uint64_t retransmits{0};
-    std::uint64_t abandoned{0};
+/// Fabric-wide results of one sharded workload run: the fleet's client
+/// totals (switch_hits counts rack and edge hits) plus the server side.
+struct ShardedKvRunStats : kv::KvClientTotals {
     std::uint64_t server_gets{0};  ///< summed over racks
     std::uint64_t server_puts{0};
-    double mean_get_ns{0};
-    double p50_get_ns{0};
-    double p99_get_ns{0};
-    /// Arrival time of the last completed request (throughput's
-    /// denominator: completed / (last_completion - workload start)).
-    sim::SimTime last_completion{0};
     DirectoryStats directory;
     EdgeCacheStats edges;  ///< summed over edge caches
     DirectoryController::Stats control;
-
-    std::uint64_t completed() const noexcept { return get_replies + put_acks; }
-    double hit_rate() const noexcept {
-        return get_replies == 0 ? 0.0
-                                : static_cast<double>(switch_hits) /
-                                      static_cast<double>(get_replies);
-    }
 };
 
 class ShardedKvService {
@@ -103,8 +87,9 @@ public:
 
     std::size_t num_shards() const noexcept { return servers_.size(); }
     kv::KvStoreServer& server(std::size_t shard);
-    std::size_t num_clients() const noexcept { return clients_.size(); }
-    kv::KvClient& client(std::size_t i);
+    std::size_t num_clients() const noexcept { return fleet_->num_clients(); }
+    kv::KvClient& client(std::size_t i) { return fleet_->client(i); }
+    kv::KvClientFleet& fleet() noexcept { return *fleet_; }
     DirectorySwitchProgram& directory() noexcept { return *directory_; }
     DirectoryController& controller() noexcept { return *controller_; }
     sim::NodeId directory_node() const noexcept { return directory_node_; }
@@ -117,9 +102,8 @@ public:
     /// (same key/value universe as KvService — the parity reference).
     void preload(std::size_t num_keys);
 
-    /// Schedule the workload's request streams plus per-rack cache
-    /// rebalances (reusing kv::KvWorkload and the shared op-stream
-    /// generator, so the streams are identical to an unsharded run).
+    /// Schedule the workload's request streams (identical to an
+    /// unsharded run's) plus per-rack cache rebalances.
     void schedule(const kv::KvWorkload& workload);
 
     /// Schedule periodic directory skew-rebalances off `source` (e.g.
@@ -135,16 +119,12 @@ public:
     ShardedKvRunStats collect() const;
     ShardedKvRunStats run(const kv::KvWorkload& workload);
 
-    /// Declare objectives; collect() rebuilds the SLO monitor from the
-    /// clients' request logs and publishes the SLIs. Empty spec.service
-    /// defaults to "shardedkv".
-    void set_slo(trace::SloSpec spec);
-    /// The monitor built by the last collect(); nullptr before then or
-    /// when no spec was set.
-    const trace::SloMonitor* slo() const noexcept { return slo_.get(); }
+    /// SLO objectives (kv::KvClientFleet::set_slo); default "shardedkv".
+    void set_slo(trace::SloSpec spec) { fleet_->set_slo(std::move(spec)); }
+    const trace::SloMonitor* slo() const noexcept { return fleet_->slo(); }
 
     /// Register continuous service signals (per-shard rack-cache hits,
-    /// edge-cache hits, summed retransmits) on a FabricSampler.
+    /// edge-cache hits, client retransmits and abandons) on a sampler.
     void install_probes(rt::FabricSampler& sampler) const;
 
 private:
@@ -157,14 +137,11 @@ private:
     ShardedKvOptions options_;
     std::vector<std::unique_ptr<kv::KvStoreServer>> servers_;
     std::vector<Rack> racks_;
-    std::vector<std::unique_ptr<kv::KvClient>> clients_;
+    std::optional<kv::KvClientFleet> fleet_;
     std::vector<std::shared_ptr<EdgeCacheSwitchProgram>> edges_;
     std::shared_ptr<DirectorySwitchProgram> directory_;
     std::unique_ptr<DirectoryController> controller_;
     sim::NodeId directory_node_{0};
-    bool slo_set_{false};
-    trace::SloSpec slo_spec_;
-    mutable std::unique_ptr<trace::SloMonitor> slo_;  ///< rebuilt by collect()
 };
 
 }  // namespace daiet::dir

@@ -1,90 +1,23 @@
 #include "kvcache/service.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "common/contracts.hpp"
-#include "common/rng.hpp"
 #include "netsim/link.hpp"
 #include "runtime/sampler.hpp"
 #include "trace/metrics.hpp"
 
 namespace daiet::kv {
 
-std::vector<KvOpSpec> client_op_stream(const KvWorkload& workload, std::size_t ci,
-                                       std::size_t n_clients) {
-    // Per-client deterministic stream: ops and keys are drawn up front
-    // so scheduling order never affects the sequence.
-    Rng rng{SplitMix64{workload.seed + 0x9e37u * (ci + 1)}.next()};
-    std::size_t lo = 0;
-    std::size_t span = workload.num_keys;
-    if (workload.partition_keys) {
-        // num_keys >= n_clients (checked by the caller), so the slices
-        // [ci*per, ci*per+per) are disjoint: one writer per key.
-        const std::size_t per = workload.num_keys / n_clients;
-        lo = ci * per;
-        span = per;
-    }
-    // Zipf(0) degenerates to the uniform distribution, so one sampler
-    // covers both the skewed and the uniform workloads.
-    const ZipfSampler zipf{span, std::max(workload.zipf_s, 0.0)};
-
-    std::vector<KvOpSpec> ops;
-    ops.reserve(workload.requests_per_client);
-    for (std::size_t r = 0; r < workload.requests_per_client; ++r) {
-        KvOpSpec op;
-        op.is_get = rng.next_bool(workload.get_fraction);
-        std::size_t rank = zipf(rng);
-        if (workload.hotset_rotate_every != 0) {
-            // Drifting popularity: the rank->key mapping shifts by
-            // rotate_by every rotate_every requests, moving the head
-            // of the Zipf distribution onto fresh keys.
-            const std::size_t phase = r / workload.hotset_rotate_every;
-            rank = (rank + phase * workload.hotset_rotate_by) % span;
-        }
-        op.key = KvService::key_of(lo + rank);
-        op.value = static_cast<WireValue>((ci + 1) * 1000003u +
-                                          static_cast<std::uint32_t>(r));
-        op.at = workload.start + ci * workload.client_stagger +
-                r * workload.request_interval;
-        ops.push_back(op);
-    }
-    return ops;
-}
-
-void schedule_client_ops(sim::Simulator& sim, KvClient& client,
-                         const KvWorkload& workload, std::size_t ci,
-                         std::size_t n_clients) {
-    for (const KvOpSpec& op : client_op_stream(workload, ci, n_clients)) {
-        sim.schedule_at(op.at, [&client, op] {
-            if (op.is_get) {
-                client.get(op.key);
-            } else {
-                client.put(op.key, op.value);
-            }
-        });
-    }
-}
-
 KvService::KvService(rt::ClusterRuntime& rt, KvServiceOptions options)
     : rt_{&rt}, options_{std::move(options)} {
     DAIET_EXPECTS(options_.server_host < rt.hosts().size());
     sim::Host& server_host = rt.host(options_.server_host);
     server_ = std::make_unique<KvStoreServer>(server_host, options_.config);
-
-    if (options_.client_hosts.empty()) {
-        for (std::size_t i = 0; i < rt.hosts().size(); ++i) {
-            if (i != options_.server_host) options_.client_hosts.push_back(i);
-        }
-    }
-    DAIET_EXPECTS(!options_.client_hosts.empty());
-    for (const std::size_t i : options_.client_hosts) {
-        DAIET_EXPECTS(i < rt.hosts().size() && i != options_.server_host);
-        clients_.push_back(std::make_unique<KvClient>(
-            rt.host(i), options_.config, server_host.addr()));
-    }
+    fleet_.emplace(rt, options_.config, server_host.addr(), options_.client_hosts,
+                   std::span{&options_.server_host, 1}, "kv");
 
     if (options_.cache_enabled) {
         // Lossy fabrics are fine: the retry transport retransmits at
@@ -111,11 +44,6 @@ KvService::KvService(rt::ClusterRuntime& rt, KvServiceOptions options)
     }
 }
 
-KvClient& KvService::client(std::size_t i) {
-    DAIET_EXPECTS(i < clients_.size());
-    return *clients_[i];
-}
-
 void KvService::preload(std::size_t num_keys) {
     // Idempotent: never roll an already-present value (e.g. an
     // acknowledged PUT from an earlier workload on this service) back
@@ -129,25 +57,12 @@ void KvService::preload(std::size_t num_keys) {
 }
 
 void KvService::schedule(const KvWorkload& workload) {
-    DAIET_EXPECTS(workload.num_keys > 0);
-    DAIET_EXPECTS(workload.requests_per_client > 0);
-    DAIET_EXPECTS(workload.get_fraction >= 0.0 && workload.get_fraction <= 1.0);
-    // The single-writer-per-key guarantee needs a slice per client.
-    DAIET_EXPECTS(!workload.partition_keys ||
-                  workload.num_keys >= clients_.size());
+    fleet_->schedule(workload);
     preload(workload.num_keys);
-
-    // Each client's ops go on its own host's simulator (its shard under
-    // parallel simulation); the op timestamps are absolute either way.
-    const std::size_t n_clients = clients_.size();
-    for (std::size_t ci = 0; ci < n_clients; ++ci) {
-        schedule_client_ops(rt_->host(options_.client_hosts[ci]).simulator(),
-                            *clients_[ci], workload, ci, n_clients);
-    }
 
     if (controller_ != nullptr && workload.rebalance_interval > 0) {
         const sim::SimTime horizon =
-            workload.start + n_clients * workload.client_stagger +
+            workload.start + num_clients() * workload.client_stagger +
             workload.requests_per_client * workload.request_interval;
         // The rebalancer reads the server's store and pokes the cache
         // program on the server's edge switch — both live on the server
@@ -162,78 +77,18 @@ void KvService::schedule(const KvWorkload& workload) {
 
 KvRunStats KvService::collect() const {
     KvRunStats out;
-    LogHistogram gets;
-    LogHistogram puts;
-    for (const auto& client : clients_) {
-        const KvClient::Stats s = client->stats();
-        out.gets_sent += s.gets_sent;
-        out.puts_sent += s.puts_sent;
-        out.get_replies += s.get_replies;
-        out.put_acks += s.put_acks;
-        out.switch_hits += s.switch_hits;
-        out.retransmits += s.retransmits;
-        out.duplicate_replies += s.duplicate_replies;
-        out.abandoned += s.abandoned;
-        out.congestion_marks += s.congestion_marks;
-        out.ecn_backoffs += s.ecn_backoffs;
-        gets.merge(client->get_latency());
-        puts.merge(client->put_latency());
-    }
+    fleet_->collect(out);
     out.server_gets = server_->stats().gets;
     out.server_puts = server_->stats().puts;
     out.server_duplicates = server_->stats().duplicates;
-    if (!gets.empty()) {
-        out.mean_get_ns = gets.mean();
-        out.p50_get_ns = gets.percentile(50.0);
-        out.p99_get_ns = gets.percentile(99.0);
-    }
-    if (!puts.empty()) out.mean_put_ns = puts.mean();
     if (cache_ != nullptr) out.cache = cache_->stats();
     if (controller_ != nullptr) {
         out.promotions = controller_->stats().promotions;
         out.evictions = controller_->stats().evictions;
         out.rebalances = controller_->stats().rebalances;
     }
-
-    // Publish into the process-wide metrics registry: every BENCH_*.json
-    // written after this collect() carries the run's numbers.
-    auto& reg = trace::metrics();
-    reg.counter("kv.gets_sent", "kv").set(out.gets_sent);
-    reg.counter("kv.get_replies", "kv").set(out.get_replies);
-    reg.counter("kv.switch_hits", "kv").set(out.switch_hits);
-    reg.counter("kv.retransmits", "kv").set(out.retransmits);
-    reg.counter("kv.abandoned", "kv").set(out.abandoned);
-    reg.counter("kv.server_gets", "kv", "server").set(out.server_gets);
-    reg.histogram("kv.get_latency_ns", "kv").assign(gets);
-    reg.histogram("kv.put_latency_ns", "kv").assign(puts);
-
-    if (slo_set_) {
-        // Rebuild from scratch each collect(): the client logs are the
-        // source of truth, so repeated collect() calls stay idempotent.
-        slo_ = std::make_unique<trace::SloMonitor>(slo_spec_);
-        const std::uint64_t now =
-            static_cast<std::uint64_t>(rt_->now());
-        for (const auto& client : clients_) {
-            for (const KvClient::OpRecord& rec : client->log()) {
-                slo_->record_success(static_cast<std::uint64_t>(rec.completed),
-                                     static_cast<std::uint64_t>(rec.latency));
-            }
-            // Abandoned requests carry no completion stamp; charge them
-            // at the end of the run (they failed by then by definition).
-            for (std::uint64_t i = 0; i < client->stats().abandoned; ++i) {
-                slo_->record_failure(now);
-            }
-        }
-        slo_->publish();
-    }
+    trace::metrics().counter("kv.server_gets", "kv", "server").set(out.server_gets);
     return out;
-}
-
-void KvService::set_slo(trace::SloSpec spec) {
-    if (spec.service.empty()) spec.service = "kv";
-    slo_spec_ = std::move(spec);
-    slo_set_ = true;
-    slo_.reset();
 }
 
 void KvService::install_probes(rt::FabricSampler& sampler) const {
@@ -252,17 +107,7 @@ void KvService::install_probes(rt::FabricSampler& sampler) const {
             return static_cast<double>(cache->stats().misses);
         });
     }
-    const auto* clients = &clients_;
-    sampler.add_probe("kv.retransmits", "kv-clients", [clients] {
-        std::uint64_t n = 0;
-        for (const auto& c : *clients) n += c->stats().retransmits;
-        return static_cast<double>(n);
-    });
-    sampler.add_probe("kv.abandoned", "kv-clients", [clients] {
-        std::uint64_t n = 0;
-        for (const auto& c : *clients) n += c->stats().abandoned;
-        return static_cast<double>(n);
-    });
+    fleet_->install_probes(sampler);
 }
 
 KvRunStats KvService::run(const KvWorkload& workload) {

@@ -11,26 +11,23 @@
 // program, so a kv workload and an aggregation job are co-tenants of
 // one fabric.
 //
-// The built-in workload generator issues an open-loop stream of GETs
-// and PUTs per client with Zipf-distributed key popularity, and
-// schedules periodic controller rebalances — enough to reproduce the
-// cache's hit-rate and latency story and to drive the coexistence
-// tests and benches.
+// The clients are a KvClientFleet (kvcache/fleet.hpp) issuing Zipf
+// GET/PUT streams; the service adds periodic controller rebalances and
+// the server and cache counters.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "kvcache/controller.hpp"
+#include "kvcache/fleet.hpp"
 #include "kvcache/store.hpp"
 #include "kvcache/switch_program.hpp"
 #include "runtime/cluster.hpp"
 #include "trace/slo.hpp"
-
-namespace daiet::rt {
-class FabricSampler;
-}  // namespace daiet::rt
 
 namespace daiet::kv {
 
@@ -45,91 +42,17 @@ struct KvServiceOptions {
     bool cache_enabled{true};
 };
 
-struct KvWorkload {
-    std::size_t num_keys{1024};
-    /// Zipf skew of key popularity; <= 0 samples uniformly.
-    double zipf_s{0.99};
-    std::size_t requests_per_client{400};
-    /// Fraction of requests that are GETs (the rest are PUTs).
-    double get_fraction{1.0};
-    /// true: each client reads and writes only its own slice of the
-    /// key space (single writer per key) — exact value determinism
-    /// under any interleaving, which the parity tests rely on.
-    bool partition_keys{false};
-    sim::SimTime start{0};
-    sim::SimTime request_interval{2 * sim::kMicrosecond};
-    /// Distinct clients start this far apart.
-    sim::SimTime client_stagger{500 * sim::kNanosecond};
-    /// Controller rebalance cadence; 0 = never rebalance.
-    sim::SimTime rebalance_interval{100 * sim::kMicrosecond};
-    /// Hot-set drift: every `hotset_rotate_every` requests (per client)
-    /// the Zipf rank->key mapping shifts by `hotset_rotate_by` ranks, so
-    /// yesterday's head of the distribution goes cold and a fresh slice
-    /// becomes hot. 0 = stationary popularity. The stress test for
-    /// promotion agility (EWMA inertia vs sketch-driven detection).
-    std::size_t hotset_rotate_every{0};
-    std::size_t hotset_rotate_by{0};
-    std::uint64_t seed{7};
-};
-
-/// One scheduled client operation, precomputed so scheduling order can
-/// never affect the op sequence.
-struct KvOpSpec {
-    bool is_get{true};
-    Key16 key{};
-    WireValue value{0};
-    sim::SimTime at{0};
-};
-
-/// The deterministic request stream client `ci` (of `n_clients`) issues
-/// under `workload` — the single source of truth shared by KvService
-/// and the sharded deployment (directory/sharded_service.hpp), which is
-/// what makes "sharded run == unsharded reference" a meaningful parity
-/// check: both runs replay byte-identical per-client op sequences.
-std::vector<KvOpSpec> client_op_stream(const KvWorkload& workload, std::size_t ci,
-                                       std::size_t n_clients);
-
-/// Schedule client `ci`'s whole op stream on `sim` — the one dispatch
-/// loop both deployments share (any drift between them would quietly
-/// invalidate the parity check).
-void schedule_client_ops(sim::Simulator& sim, KvClient& client,
-                         const KvWorkload& workload, std::size_t ci,
-                         std::size_t n_clients);
-
-/// Fabric-wide results of one workload run.
-struct KvRunStats {
-    std::uint64_t gets_sent{0};
-    std::uint64_t puts_sent{0};
-    std::uint64_t get_replies{0};
-    std::uint64_t put_acks{0};
-    std::uint64_t switch_hits{0};
+/// Fabric-wide results of one workload run: the fleet's client totals
+/// plus the server, cache and controller counters.
+struct KvRunStats : KvClientTotals {
     std::uint64_t server_gets{0};
     std::uint64_t server_puts{0};
-    /// Loss-recovery traffic (transport/request_reply.hpp): wire-level
-    /// retransmissions, suppressed duplicate replies, requests dropped
-    /// after the attempt budget, and server-side replay answers.
-    std::uint64_t retransmits{0};
-    std::uint64_t duplicate_replies{0};
-    std::uint64_t abandoned{0};
+    /// Server-side replay answers (at-most-once execution under loss).
     std::uint64_t server_duplicates{0};
-    /// ECN control loop: marks fed to the clients' retry channels and
-    /// the RTO expiries those channels postponed in response.
-    std::uint64_t congestion_marks{0};
-    std::uint64_t ecn_backoffs{0};
-    double mean_get_ns{0};
-    double p50_get_ns{0};
-    double p99_get_ns{0};
-    double mean_put_ns{0};
     KvCacheStats cache;  ///< zeroes when the cache is disabled
     std::uint64_t promotions{0};
     std::uint64_t evictions{0};
     std::uint64_t rebalances{0};
-
-    double hit_rate() const noexcept {
-        return get_replies == 0 ? 0.0
-                                : static_cast<double>(switch_hits) /
-                                      static_cast<double>(get_replies);
-    }
 };
 
 class KvService {
@@ -140,8 +63,9 @@ public:
     KvService& operator=(const KvService&) = delete;
 
     KvStoreServer& server() noexcept { return *server_; }
-    std::size_t num_clients() const noexcept { return clients_.size(); }
-    KvClient& client(std::size_t i);
+    std::size_t num_clients() const noexcept { return fleet_->num_clients(); }
+    KvClient& client(std::size_t i) { return fleet_->client(i); }
+    KvClientFleet& fleet() noexcept { return *fleet_; }
     /// nullptr when the cache is disabled.
     KvCacheSwitchProgram* cache() noexcept { return cache_.get(); }
     KvCacheController* controller() noexcept { return controller_.get(); }
@@ -168,30 +92,22 @@ public:
     /// schedule + run + collect, for the simple single-job case.
     KvRunStats run(const KvWorkload& workload);
 
-    /// Declare objectives; collect() then rebuilds the SLO monitor from
-    /// the clients' request logs (each completed reply is a success at
-    /// its completion time, each abandoned request a failure) and
-    /// publishes the SLIs. Empty spec.service defaults to "kv".
-    void set_slo(trace::SloSpec spec);
-    /// The monitor built by the last collect(); nullptr before then or
-    /// when no spec was set.
-    const trace::SloMonitor* slo() const noexcept { return slo_.get(); }
+    /// SLO objectives (KvClientFleet::set_slo); the default service is "kv".
+    void set_slo(trace::SloSpec spec) { fleet_->set_slo(std::move(spec)); }
+    const trace::SloMonitor* slo() const noexcept { return fleet_->slo(); }
 
     /// Register continuous service signals (cache hits/misses, summed
-    /// client retransmits) on a FabricSampler.
+    /// client retransmits and abandons) on a FabricSampler.
     void install_probes(rt::FabricSampler& sampler) const;
 
 private:
     rt::ClusterRuntime* rt_;
     KvServiceOptions options_;
     std::unique_ptr<KvStoreServer> server_;
-    std::vector<std::unique_ptr<KvClient>> clients_;
+    std::optional<KvClientFleet> fleet_;
     std::shared_ptr<KvCacheSwitchProgram> cache_;
     std::unique_ptr<KvCacheController> controller_;
     sim::NodeId cache_node_{0};
-    bool slo_set_{false};
-    trace::SloSpec slo_spec_;
-    mutable std::unique_ptr<trace::SloMonitor> slo_;  ///< rebuilt by collect()
 };
 
 }  // namespace daiet::kv

@@ -131,6 +131,24 @@ public:
         /// postponed because of them.
         std::uint64_t congestion_marks{0};
         std::uint64_t ecn_backoffs{0};
+
+        Stats& operator+=(const Stats& o) noexcept {
+            gets_sent += o.gets_sent;
+            puts_sent += o.puts_sent;
+            get_replies += o.get_replies;
+            put_acks += o.put_acks;
+            switch_hits += o.switch_hits;
+            edge_hits += o.edge_hits;
+            not_found += o.not_found;
+            nacks += o.nacks;
+            nack_retries += o.nack_retries;
+            retransmits += o.retransmits;
+            duplicate_replies += o.duplicate_replies;
+            abandoned += o.abandoned;
+            congestion_marks += o.congestion_marks;
+            ecn_backoffs += o.ecn_backoffs;
+            return *this;
+        }
     };
 
     /// Binds the client UDP port on `host` (one kv client per host).

@@ -1,10 +1,11 @@
 // Tests for the in-network key-value cache subsystem: wire protocol,
 // hit-rate behaviour under skew, write-through invalidation coherence,
-// the cache-disabled baseline, and coexistence with DAIET aggregation
-// on one fabric.
+// the cache-disabled baseline, coexistence with DAIET aggregation on one
+// fabric, and the client fleet's closed-loop driver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <string>
 #include <tuple>
@@ -350,6 +351,72 @@ TEST(KvCoexistence, KvWorkloadAndAggregationJobShareOneFabric) {
     EXPECT_GT(rt.program_at(svc.cache_node())->tree_stats(driver.tree(0)).pairs_combined,
               0U);
     EXPECT_GT(rt.chip_at(svc.cache_node()).sram().used_bytes(), serial_sram_used);
+}
+
+// ------------------------------------------------------- client fleet
+
+/// One closed-loop run of a bare fleet (server on host 0, a client on
+/// every other host of a 2-leaf fabric). Returns each client's log and
+/// the most requests any client was seen holding in flight.
+struct ClosedLoopRun {
+    std::vector<std::vector<KvClient::OpRecord>> logs;
+    std::size_t peak_outstanding{0};
+};
+
+ClosedLoopRun run_closed_loop(const KvWorkload& workload) {
+    rt::ClusterRuntime rt{leaf_spine_options(8)};
+    KvStoreServer server{rt.host(0), KvConfig{}};
+    for (std::size_t i = 0; i < workload.num_keys; ++i) {
+        server.preload(KvService::key_of(i), KvService::preload_value_of(i));
+    }
+    const std::size_t servers[] = {0};
+    KvClientFleet fleet{rt, KvConfig{}, server.addr(), {}, servers, "kv"};
+    fleet.start_closed_loop(workload);
+
+    // A checker event every 100 ns until every stream has drained.
+    ClosedLoopRun out;
+    std::function<void()> check = [&] {
+        bool drained = true;
+        for (std::size_t i = 0; i < fleet.num_clients(); ++i) {
+            out.peak_outstanding =
+                std::max(out.peak_outstanding, fleet.client(i).outstanding());
+            drained = drained && fleet.client(i).log().size() == workload.requests_per_client;
+        }
+        if (!drained) rt.simulator().schedule_after(100 * sim::kNanosecond, check);
+    };
+    rt.simulator().schedule_at(0, check);
+    rt.run();
+    for (std::size_t i = 0; i < fleet.num_clients(); ++i) {
+        out.logs.push_back(fleet.client(i).log());
+    }
+    return out;
+}
+
+TEST(KvClientFleet, ClosedLoopHoldsTheWindowAndIsDeterministic) {
+    KvWorkload workload;
+    workload.num_keys = 128;
+    workload.requests_per_client = 120;
+    workload.get_fraction = 0.75;
+    const ClosedLoopRun first = run_closed_loop(workload);
+    ASSERT_EQ(first.logs.size(), 7u);
+    EXPECT_EQ(first.peak_outstanding, kClosedLoopWindow);
+    for (const auto& log : first.logs) {
+        EXPECT_EQ(log.size(), workload.requests_per_client);
+    }
+
+    const ClosedLoopRun second = run_closed_loop(workload);
+    ASSERT_EQ(second.logs.size(), first.logs.size());
+    const auto fields = [](const KvClient::OpRecord& r) {
+        return std::tuple{r.req_id, r.op,      r.key,       r.value,
+                          r.found,  r.latency, r.completed};
+    };
+    for (std::size_t c = 0; c < first.logs.size(); ++c) {
+        ASSERT_EQ(second.logs[c].size(), first.logs[c].size());
+        for (std::size_t r = 0; r < first.logs[c].size(); ++r) {
+            EXPECT_EQ(fields(second.logs[c][r]), fields(first.logs[c][r]))
+                << "client " << c << " record " << r;
+        }
+    }
 }
 
 // ------------------------------------------------------------- registry

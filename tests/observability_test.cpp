@@ -1,17 +1,24 @@
 // Tests for the continuous-observability layer: the sim self-profiler
 // (src/trace/profiler.*), time-series counter tracks and their Perfetto
 // export (src/trace/timeseries.* + export.*), the per-service SLO
-// monitor (src/trace/slo.*), JSON escaping of hostile metric names, and
-// the DAIET_TRACE / DAIET_LOG_LEVEL env-parsing paths.
+// monitor (src/trace/slo.*), the metric/probe surface both kv services
+// publish, JSON escaping of hostile metric names, and the DAIET_TRACE /
+// DAIET_LOG_LEVEL env-parsing paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
+#include <map>
+#include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/log.hpp"
+#include "directory/sharded_service.hpp"
 #include "kvcache/service.hpp"
 #include "netsim/network.hpp"
 #include "netsim/parallel.hpp"
@@ -573,6 +580,141 @@ TEST(Slo, KvServiceGatesCleanRunAndPublishes) {
         }
     }
     EXPECT_TRUE(published);
+}
+
+// ------------------------------------------- kv services' published surface
+//
+// Both kv services publish a client-side surface (metrics under their
+// tenant prefix, an SLO monitor rebuilt at collect(), client probes)
+// next to their own server-side signals. One typed test pins the names
+// and the idempotence of collect() for both.
+
+/// 4 leaves x 2 hosts with DAIET programs: the directory needs a spine
+/// chip, the caches need programmable ToRs.
+rt::ClusterOptions kv_surface_fabric() {
+    rt::ClusterOptions opts;
+    opts.topology = rt::TopologyKind::kLeafSpine;
+    opts.num_hosts = 8;
+    opts.n_leaf = 4;
+    opts.n_spine = 2;
+    opts.config.register_size = 512;
+    opts.config.max_trees = 4;
+    opts.seed = 11;
+    return opts;
+}
+
+struct UnshardedKvSurface {
+    static constexpr const char* kTenant = "kv";
+    static std::unique_ptr<kv::KvService> make(rt::ClusterRuntime& rt) {
+        kv::KvServiceOptions opts;
+        opts.server_host = 0;
+        opts.client_hosts = {4, 5, 6, 7};
+        return std::make_unique<kv::KvService>(rt, opts);
+    }
+    /// (name, node label) of each published metric.
+    static std::vector<std::pair<std::string, std::string>> metrics() {
+        return {{"kv.gets_sent", ""},      {"kv.get_replies", ""},
+                {"kv.switch_hits", ""},    {"kv.retransmits", ""},
+                {"kv.abandoned", ""},      {"kv.server_gets", "server"},
+                {"kv.get_latency_ns", ""}, {"kv.put_latency_ns", ""}};
+    }
+    static std::vector<std::string> probes() {
+        return {"kv.cache_hits", "kv.cache_misses", "kv.retransmits", "kv.abandoned"};
+    }
+};
+
+struct ShardedKvSurface {
+    static constexpr const char* kTenant = "shardedkv";
+    static std::unique_ptr<dir::ShardedKvService> make(rt::ClusterRuntime& rt) {
+        dir::ShardedKvOptions opts;
+        opts.server_hosts = {0, 2};
+        opts.client_hosts = {4, 5, 6, 7};
+        return std::make_unique<dir::ShardedKvService>(rt, opts);
+    }
+    static std::vector<std::pair<std::string, std::string>> metrics() {
+        return {{"shardedkv.gets_sent", ""},
+                {"shardedkv.get_replies", ""},
+                {"shardedkv.switch_hits", ""},
+                {"shardedkv.edge_hits", ""},
+                {"shardedkv.nacks", ""},
+                {"shardedkv.retransmits", ""},
+                {"shardedkv.abandoned", ""},
+                {"shardedkv.gets_steered", "directory"},
+                {"shardedkv.puts_steered", "directory"},
+                {"shardedkv.invalidations_sent", "directory"},
+                {"shardedkv.server_gets", "shard0"},
+                {"shardedkv.server_gets", "shard1"},
+                {"shardedkv.get_latency_ns", ""}};
+    }
+    static std::vector<std::string> probes() {
+        return {"shardedkv.rack_hits", "shardedkv.edge_hits", "shardedkv.retransmits"};
+    }
+};
+
+template <typename Surface>
+class KvServiceSurface : public ::testing::Test {};
+using KvSurfaces = ::testing::Types<UnshardedKvSurface, ShardedKvSurface>;
+TYPED_TEST_SUITE(KvServiceSurface, KvSurfaces);
+
+/// Every counter in the registry, keyed by (name, tenant, node).
+std::map<std::tuple<std::string, std::string, std::string>, std::uint64_t>
+registry_counters() {
+    std::map<std::tuple<std::string, std::string, std::string>, std::uint64_t> out;
+    for (const auto& e : trace::metrics().entries()) {
+        if (e.type == trace::MetricsRegistry::Type::kCounter) {
+            out[{e.name, e.tenant, e.node}] = e.counter;
+        }
+    }
+    return out;
+}
+
+TYPED_TEST(KvServiceSurface, PublishesSloMetricsAndProbesIdempotently) {
+    ObsGuard guard;
+    trace::metrics().clear();
+    trace::timeseries().clear();
+    rt::ClusterRuntime rt{kv_surface_fabric()};
+    auto svc = TypeParam::make(rt);
+    svc->set_slo(trace::SloSpec{});
+    // Registering probes adds tracks only; the sampler is never started,
+    // so the schedule is untouched.
+    rt::FabricSampler sampler{rt, 10'000, 64};
+    svc->install_probes(sampler);
+
+    kv::KvWorkload wl;
+    wl.num_keys = 64;
+    wl.requests_per_client = 40;
+    wl.get_fraction = 0.75;
+    const auto stats = svc->run(wl);
+    ASSERT_GT(stats.get_replies, 0u);
+    ASSERT_GT(stats.put_acks, 0u);
+
+    ASSERT_NE(svc->slo(), nullptr);
+    const auto first = svc->slo()->evaluate();
+    EXPECT_EQ(first.total, stats.get_replies + stats.put_acks);
+    const auto counters = registry_counters();
+
+    svc->collect();
+    ASSERT_NE(svc->slo(), nullptr);
+    const auto second = svc->slo()->evaluate();
+    EXPECT_EQ(second.total, first.total);
+    EXPECT_EQ(second.failed, first.failed);
+    EXPECT_EQ(registry_counters(), counters);
+
+    for (const auto& [name, node] : TypeParam::metrics()) {
+        const bool found = std::any_of(
+            trace::metrics().entries().begin(), trace::metrics().entries().end(),
+            [&](const auto& e) {
+                return e.name == name && e.tenant == TypeParam::kTenant && e.node == node;
+            });
+        EXPECT_TRUE(found) << name << " {tenant=" << TypeParam::kTenant
+                           << ", node=" << node << "}";
+    }
+    for (const std::string& name : TypeParam::probes()) {
+        const bool found = std::any_of(
+            trace::timeseries().series().begin(), trace::timeseries().series().end(),
+            [&](const auto& ts) { return ts.name() == name; });
+        EXPECT_TRUE(found) << name;
+    }
 }
 
 // ------------------------------------------------- fabric sampler
