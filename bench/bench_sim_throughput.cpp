@@ -25,7 +25,7 @@
 //   * profN — the parN run with the sim self-profiler and the fabric
 //     time-series sampler both live (N = the largest parN that ran):
 //     per-shard exec/barrier/drain attribution plus counter tracks
-//     sampled between window barriers. Two trials, interleaved with a
+//     sampled at the window barrier. Two trials, interleaved with a
 //     second parN base trial; must stay bit-identical with the parN
 //     group (the observers may not perturb the schedule), and the best
 //     profiled trial must hold 85% of the best base trial's
@@ -38,7 +38,8 @@
 // Gates (any failure exits nonzero — the bench doubles as a CI gate):
 //   * golden schedule: at a scale in kGolden (0.05, 0.25 and 1), the
 //     sequential run's event count, signature and final sim time equal
-//     the committed constants — the schedule is pinned across commits;
+//     the committed constants, and the first parN trial's equal
+//     kGoldenPar — both schedules are pinned across commits;
 //   * determinism: every sequential run repeats the first one's event
 //     count, final sim time and value histories bit for bit;
 //   * tracing: the ring-traced trial keeps >= 50% of the fast rate;
@@ -132,6 +133,15 @@ constexpr GoldenSchedule kGolden[] = {
     {0.25, 342'145, 0x7ed4bfcc1598bba7ULL, 29'748'212},
     {1.0, 13'469'295, 0x2115566ae397fbb6ULL, 975'969'086},
 };
+/// The partitioned (one pod per shard) schedule per DAIET_SCALE, as the
+/// first parN trial must reproduce it. The parity gate only compares
+/// parN trials with each other; this table pins the group across
+/// commits. Same update rule as kGolden.
+constexpr GoldenSchedule kGoldenPar[] = {
+    {0.05, 13'209, 0x97d3c10d56348f68ULL, 6'004'400},
+    {0.25, 437'035, 0x0fcca233f91176cdULL, 29'758'212},
+    {1.0, 16'683'820, 0xcb138aaa7ebd21a9ULL, 977'299'086},
+};
 
 /// Order-sensitive FNV-1a accumulator: any reordering of deliveries,
 /// any changed value, any extra or missing event shifts the digest.
@@ -179,7 +189,7 @@ struct RunResult {
 
 /// `profiled` arms the continuous observers for this run: the fabric
 /// time-series sampler (queue depths, SRAM, kv cache hits) attached to
-/// the parallel driver's coordinator phase. Only meaningful with
+/// the parallel driver's window barrier. Only meaningful with
 /// threads > 0 — the sequential pump mode injects sim events and would
 /// change the signature, which the profN parity gate exists to forbid.
 RunResult run_workload(const Shape& s, std::size_t threads = 0,
@@ -293,15 +303,15 @@ RunResult run_workload(const Shape& s, std::size_t threads = 0,
     }
 
     // Continuous observers for the profN trial: fabric + service probes
-    // sampled by the parallel coordinator between window barriers (zero
-    // injected events — the parity gate holds the observers to that).
+    // sampled in the window barrier's completion step (zero injected
+    // events — the parity gate holds the observers to that).
     // Modest ring capacity: a full-scale fat tree carries thousands of
     // link-direction tracks. The cadence is sized to the overhead gate:
     // one sample scrapes every probe (~1k on a fat tree, cache-miss
-    // bound, ~100us wall here), all of it inside the coordinator's
-    // exclusive phase where it stalls every worker — the profiler's
-    // drain lane showed 50us cadence costing more wall time than the
-    // sim itself earns back at this scale.
+    // bound, ~100us wall here), all of it inside the completion step
+    // where it stalls every worker — the profiler showed 50us cadence
+    // costing more wall time than the sim itself earns back at this
+    // scale.
     std::unique_ptr<rt::FabricSampler> sampler;
     if (profiled) {
         sampler = std::make_unique<rt::FabricSampler>(
@@ -532,9 +542,9 @@ int main() {
         const std::string_view m{mode};
         // A profN child is the parN run with the observers armed: the
         // self-profiler attributes every shard's windows and the fabric
-        // sampler scrapes counter tracks in the coordinator phase. It
-        // prints the standard RESULT line (same parity group as parN)
-        // plus PROFILE/PROFSUM lines the parent folds into the JSON.
+        // sampler scrapes counter tracks in the barrier's completion
+        // step. It prints the standard RESULT line (same parity group as
+        // parN) plus PROFILE/PROFSUM lines the parent folds into the JSON.
         if (m.rfind("prof", 0) == 0) {
             const std::size_t threads = std::max<std::size_t>(
                 static_cast<std::size_t>(std::atoi(mode + 4)), 1);
@@ -851,21 +861,25 @@ int main() {
             healthy = false;
         }
     }
-    for (const GoldenSchedule& g : kGolden) {
-        if (g.scale != scale) continue;
-        std::printf("golden schedule: events=%llu sig=%016llx final=%llu\n",
-                    static_cast<unsigned long long>(g.events),
-                    static_cast<unsigned long long>(g.signature),
-                    static_cast<unsigned long long>(g.final_time));
-        if (oracle.events != g.events || oracle.signature != g.signature ||
-            oracle.final_time != g.final_time) {
-            std::printf("FAIL: %s left the golden schedule (final=%llu)\n",
-                        trials.front().label.c_str(),
-                        static_cast<unsigned long long>(oracle.final_time));
-            deterministic = false;
-            healthy = false;
+    const auto check_golden = [&](const auto& table, const Trial& t) {
+        for (const GoldenSchedule& g : table) {
+            if (g.scale != scale) continue;
+            std::printf("golden schedule (%s): events=%llu sig=%016llx final=%llu\n",
+                        t.label.c_str(), static_cast<unsigned long long>(g.events),
+                        static_cast<unsigned long long>(g.signature),
+                        static_cast<unsigned long long>(g.final_time));
+            if (t.r.events != g.events || t.r.signature != g.signature ||
+                t.r.final_time != g.final_time) {
+                std::printf("FAIL: %s left the golden schedule (final=%llu)\n",
+                            t.label.c_str(),
+                            static_cast<unsigned long long>(t.r.final_time));
+                deterministic = false;
+                healthy = false;
+            }
         }
-    }
+    };
+    check_golden(kGolden, trials.front());
+    if (!par_trials.empty()) check_golden(kGoldenPar, *par_trials.front());
     for (const Trial* t : par_trials) {
         const RunResult& par_oracle = par_trials.front()->r;
         if (t->r.signature != par_oracle.signature ||

@@ -35,26 +35,21 @@ DaietSwitchProgram::DaietSwitchProgram(Config config, dp::PipelineSwitch& chip,
       tree_table_{"daiet_tree", std::max<std::size_t>(config.max_trees, 1),
                   chip.sram()} {
     slots_.reserve(config_.max_trees);
+    sram_bytes_ = tree_table_.footprint_bytes();
     for (std::size_t s = 0; s < config_.max_trees; ++s) {
         slots_.push_back(std::make_unique<Slot>(config_, s, chip.sram()));
+        const Slot& slot = *slots_.back();
+        sram_bytes_ += slot.keys.footprint_bytes() + slot.values.footprint_bytes() +
+                       slot.index_stack.footprint_bytes() +
+                       slot.stack_depth.footprint_bytes() +
+                       slot.spill.footprint_bytes() +
+                       slot.spill_head.footprint_bytes() +
+                       slot.spill_count.footprint_bytes() +
+                       slot.children.footprint_bytes() +
+                       slot.pairs_in.footprint_bytes() +
+                       slot.pairs_out.footprint_bytes() +
+                       slot.declared.footprint_bytes() + slot.dirty.footprint_bytes();
     }
-}
-
-std::size_t DaietSwitchProgram::sram_bytes() const {
-    std::size_t total = tree_table_.footprint_bytes();
-    for (const auto& slot : slots_) {
-        total += slot->keys.footprint_bytes() + slot->values.footprint_bytes() +
-                 slot->index_stack.footprint_bytes() +
-                 slot->stack_depth.footprint_bytes() +
-                 slot->spill.footprint_bytes() +
-                 slot->spill_head.footprint_bytes() +
-                 slot->spill_count.footprint_bytes() +
-                 slot->children.footprint_bytes() +
-                 slot->pairs_in.footprint_bytes() +
-                 slot->pairs_out.footprint_bytes() +
-                 slot->declared.footprint_bytes() + slot->dirty.footprint_bytes();
-    }
-    return total;
 }
 
 void DaietSwitchProgram::configure_tree(TreeId tree, const TreeRule& rule) {

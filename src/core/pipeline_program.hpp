@@ -74,7 +74,10 @@ public:
                     std::span<const std::byte> payload) override;
     std::vector<std::uint16_t> claim_ports() const override;
     std::string name() const override { return "daiet"; }
-    std::size_t sram_bytes() const override;
+    /// Fixed at construction (every slot's registers are allocated up
+    /// front), so a sampler probe reads one field instead of walking
+    /// every slot's register arrays of cold memory per scrape.
+    std::size_t sram_bytes() const override { return sram_bytes_; }
 
     // --- observability ------------------------------------------------------
     const AgentTreeStats& tree_stats(TreeId tree) const;
@@ -123,6 +126,7 @@ private:
     dp::PipelineSwitch* chip_;
     dp::ExactMatchTable<TreeId, TreeRule> tree_table_;
     std::vector<std::unique_ptr<Slot>> slots_;
+    std::size_t sram_bytes_{0};
     std::uint16_t next_slot_{0};
 };
 

@@ -137,16 +137,11 @@ std::vector<KvPair> reduce_sorted_streams(
     return merge_sorted_runs(runs, fn);
 }
 
-double time_seconds(const std::function<void()>& fn, int repeats) {
-    DAIET_EXPECTS(repeats >= 1);
-    double best = std::numeric_limits<double>::infinity();
-    for (int i = 0; i < repeats; ++i) {
-        const auto start = std::chrono::steady_clock::now();
-        fn();
-        const auto stop = std::chrono::steady_clock::now();
-        best = std::min(best, std::chrono::duration<double>(stop - start).count());
-    }
-    return best;
+double time_seconds(const std::function<void()>& fn) {
+    const auto start = std::chrono::steady_clock::now();
+    fn();
+    const auto stop = std::chrono::steady_clock::now();
+    return std::chrono::duration<double>(stop - start).count();
 }
 
 }  // namespace daiet::mr

@@ -52,8 +52,7 @@ std::vector<KvPair> reduce_sorted_streams(
 /// Deserialize a flat byte stream of fixed-size records.
 std::vector<KvPair> parse_record_stream(std::span<const std::byte> stream);
 
-/// Wall-clock the callable: run it `repeats` times, return the minimum
-/// duration in seconds (minimum filters scheduler noise).
-double time_seconds(const std::function<void()>& fn, int repeats = 3);
+/// Wall-clock one run of the callable, in seconds.
+double time_seconds(const std::function<void()>& fn);
 
 }  // namespace daiet::mr

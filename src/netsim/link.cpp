@@ -96,9 +96,9 @@ void Link::transmit(int from_side, FrameBuf frame) {
 
     if (mailbox_[from_side] != nullptr) {
         // Boundary direction: ship the frame to the peer shard through
-        // the mailbox (the parallel driver schedules the hand-off on the
-        // receiving shard at `arrival` — conservative windows guarantee
-        // that shard's clock has not reached it). Frame refcounts are
+        // the mailbox (the receiving shard's worker schedules the
+        // hand-off at `arrival` — conservative windows guarantee that
+        // shard's clock has not reached it). Frame refcounts are
         // deliberately non-atomic, so a slab still shared on this shard
         // (switch fan-out) must cross by deep copy, not by reference.
         FrameBuf shipped;
@@ -109,7 +109,7 @@ void Link::transmit(int from_side, FrameBuf frame) {
             shipped = FrameBuf::copy_of(frame.bytes());
             shipped.set_trace_id(tid);
         }
-        mailbox_[from_side]->push_back({arrival, &dst, dst_port, std::move(shipped)});
+        mailbox_[from_side]->push({arrival, &dst, dst_port, std::move(shipped)});
         // The backlog drains sender-side at the same instant the frame
         // lands: drop-tail and ECN read this direction's backlog here.
         sim.schedule_at(arrival, [d = &dir, size] {

@@ -7,11 +7,14 @@
 // backlog, stats, loss RNG, serialization memo, pending-delivery FIFO —
 // is touched by exactly one worker thread. Deliveries on a boundary
 // link (the two ends live on different shards) are shipped through a
-// cross-shard mailbox instead of being scheduled directly; the parallel
-// driver drains mailboxes at window barriers (netsim/parallel.hpp).
+// cross-shard mailbox instead of being scheduled directly; the
+// receiving shard's worker drains it at the start of the next window
+// (netsim/parallel.hpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -45,17 +48,33 @@ struct LinkDirectionStats {
 };
 
 /// One frame crossing a shard boundary, stamped with the sender-side
-/// arrival instant. Mailboxes are plain vectors written by exactly one
-/// worker (the sending shard's) during a window and drained by the
-/// coordinator between barriers, in a fixed (dst shard, src shard,
-/// FIFO) order — that fixed drain order is what makes the receiving
-/// shard's sequence numbers, and hence the whole schedule,
-/// thread-count-independent.
+/// arrival instant.
 struct CrossFrame {
     SimTime at{0};
     Node* dst{nullptr};
     PortId port{0};
     FrameBuf frame;
+};
+
+/// The (src shard -> dst shard) hand-off, double-buffered by window
+/// parity. During a window the sending shard's worker appends to
+/// `side[*parity]` while the receiving shard's worker drains the other
+/// side (the previous window's traffic), so no vector is ever touched
+/// by two threads at once; the window barrier's completion step flips
+/// the parity. The receiver drains its inbound boxes in fixed (src
+/// shard, FIFO) order, which makes its sequence numbers, and hence the
+/// whole schedule, thread-count-independent. Each push also lowers the
+/// sender's `*shipped_min`, the earliest arrival it shipped this window,
+/// so the driver sizes the next window without scanning any box.
+struct Mailbox {
+    std::vector<CrossFrame> side[2];
+    const unsigned* parity{nullptr};
+    SimTime* shipped_min{nullptr};
+
+    void push(CrossFrame cf) {
+        *shipped_min = std::min(*shipped_min, cf.at);
+        side[*parity].push_back(std::move(cf));
+    }
 };
 
 class Link {
@@ -102,8 +121,7 @@ public:
     /// mailboxes (`a_to_b` carries side-0 traffic; null = same shard).
     /// Called by Network::enable_parallel before any traffic flows.
     void bind_parallel(Simulator& sim_a, Simulator& sim_b,
-                       std::vector<CrossFrame>* a_to_b,
-                       std::vector<CrossFrame>* b_to_a) noexcept {
+                       Mailbox* a_to_b, Mailbox* b_to_a) noexcept {
         sim_[0] = &sim_a;
         sim_[1] = &sim_b;
         mailbox_[0] = a_to_b;
@@ -152,7 +170,7 @@ private:
     /// bind_parallel re-homes them).
     Simulator* sim_[2];
     /// Boundary mailboxes; null for an intra-shard direction.
-    std::vector<CrossFrame>* mailbox_[2]{nullptr, nullptr};
+    Mailbox* mailbox_[2]{nullptr, nullptr};
     /// Lazily interned per-direction trace labels ("a->b"); 0 = not yet
     /// interned. Only touched while tracing is enabled.
     std::uint32_t trace_dir_id_[2]{0, 0};

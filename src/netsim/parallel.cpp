@@ -1,7 +1,6 @@
 #include "netsim/parallel.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <barrier>
 #include <thread>
 #include <utility>
@@ -35,6 +34,11 @@ ShardedSimulator::ShardedSimulator(Simulator* primary, std::size_t n_shards,
         shards_.push_back(owned_.back().get());
     }
     mailboxes_.resize(n_shards * n_shards);
+    clocks_.resize(n_shards);
+    for (std::size_t i = 0; i < mailboxes_.size(); ++i) {
+        mailboxes_[i].parity = &parity_;
+        mailboxes_[i].shipped_min = &clocks_[i % n_shards].shipped_min;  // row = dst
+    }
 }
 
 SimTime ShardedSimulator::now() const noexcept {
@@ -55,137 +59,100 @@ std::uint64_t ShardedSimulator::events_executed() const noexcept {
     return n;
 }
 
-void ShardedSimulator::drain_mailboxes() {
-    // Fixed (dst, src, FIFO) order: the receiving queue's sequence
-    // numbers — the same-instant tie-break — depend only on shard
-    // contents, never on which thread ran what when.
+void ShardedSimulator::drain_inbound(std::size_t dst) {
+    // Fixed (src, FIFO) order: the receiving queue's sequence numbers
+    // (the same-instant tie-break) depend only on shard contents, never
+    // on which thread ran what when.
+    Simulator& ds = *shards_[dst];
     const std::size_t n = shards_.size();
-    for (std::size_t dst = 0; dst < n; ++dst) {
-        Simulator& ds = *shards_[dst];
-        for (std::size_t src = 0; src < n; ++src) {
-            if (src == dst) continue;
-            auto& box = mailboxes_[src * n + dst];
-            for (CrossFrame& cf : box) {
-                // cf.at >= previous window end > the receiver's clock:
-                // the conservative window guarantees this hand-off is
-                // always a legal future schedule.
-                ds.schedule_at(cf.at, [node = cf.dst, port = cf.port,
-                                       f = std::move(cf.frame)]() mutable {
-                    node->handle_frame(std::move(f), port);
-                });
-            }
-            box.clear();
+    for (std::size_t src = 0; src < n; ++src) {
+        if (src == dst) continue;
+        std::vector<CrossFrame>& box = mailboxes_[dst * n + src].side[parity_ ^ 1];
+        for (CrossFrame& cf : box) {
+            // cf.at >= previous window end > the receiver's clock: the
+            // conservative window guarantees this hand-off is always a
+            // legal future schedule.
+            ds.schedule_at(cf.at, [node = cf.dst, port = cf.port,
+                                   f = std::move(cf.frame)]() mutable {
+                node->handle_frame(std::move(f), port);
+            });
         }
+        box.clear();
     }
 }
 
-void ShardedSimulator::run_shard_windows(std::size_t worker,
-                                         std::size_t workers,
-                                         SimTime window_end,
-                                         std::uint64_t* chain) {
-    for (std::size_t i = worker; i < shards_.size(); i += workers) {
-        // Spans recorded while executing shard i land in lane i no
-        // matter which thread runs the window — traces are
-        // thread-count-independent, like everything else. The profiler
-        // attributes by the same numbering, so exec time is charged
-        // per shard, not per thread.
-        trace::tracer().bind_lane(i);
-        if (chain == nullptr) {
-            shards_[i]->run_window(window_end);
-            continue;
-        }
-        const std::uint64_t ev0 = shards_[i]->events_executed();
-        shards_[i]->run_window(window_end);
-        const std::uint64_t t = trace::Profiler::now_ticks();
-        trace::profiler().add_exec(i, t - *chain,
-                                   shards_[i]->events_executed() - ev0);
-        *chain = t;
-    }
+void ShardedSimulator::close_window(std::size_t i) {
+    ShardClock& c = clocks_[i];
+    c.next_at = std::min(shards_[i]->next_event_at(), c.shipped_min);
+    c.shipped_min = Simulator::kNever;
 }
 
-SimTime ShardedSimulator::run_sequential() {
-    const bool prof = trace::profiling();
-    if (prof) trace::profiler().begin_run();
-    std::uint64_t chain = prof ? trace::Profiler::now_ticks() : 0;
-    for (;;) {
-        drain_mailboxes();
+SimTime ShardedSimulator::run() {
+    const std::size_t n = shards_.size();
+    if (n == 1) {
+        // Degenerate partition (e.g. every node landed in one shard):
+        // plain sequential run, no windows, no barriers.
+        return shards_[0]->run();
+    }
+    DAIET_EXPECTS(lookahead_ > 0);
+    const std::size_t workers = std::min(threads_, n);
+    // Frames shipped before run() sit on the current side and count
+    // toward the first window, like any window's traffic.
+    for (std::size_t i = 0; i < n; ++i) close_window(i);
+
+    SimTime window_end = 0;
+    bool done = false;
+    // The barrier runs this on one worker while the others are parked,
+    // so it may read every shard's clock and probe any shard's state.
+    auto complete = [&]() noexcept {
         SimTime next = Simulator::kNever;
-        for (Simulator* s : shards_) next = std::min(next, s->next_event_at());
-        if (next != Simulator::kNever && sampler_ != nullptr) {
-            sampler_->maybe_sample(next);
+        for (const ShardClock& c : clocks_) next = std::min(next, c.next_at);
+        if (next == Simulator::kNever) {
+            done = true;
+            return;
         }
-        if (prof) {
-            // Drain span: mailbox hand-off, window sizing, and the
-            // time-series scrape — the same attribution the parallel
-            // coordinator gets.
-            const std::uint64_t t = trace::Profiler::now_ticks();
-            trace::profiler().add_drain(0, t - chain);
-            chain = t;
-        }
-        if (next == Simulator::kNever) break;
         ++windows_;
-        run_shard_windows(0, 1, window_end_after(next, lookahead_),
-                          prof ? &chain : nullptr);
-    }
-    trace::tracer().bind_lane(0);
-    if (prof) trace::profiler().end_run();
-    return now();
-}
-
-SimTime ShardedSimulator::run_parallel(std::size_t workers) {
-    std::barrier<> gate{static_cast<std::ptrdiff_t>(workers)};
-    std::atomic<bool> stop{false};
-    SimTime window_end = 0;  // written by worker 0, read after the barrier
+        window_end = window_end_after(next, lookahead_);
+        if (sampler_ != nullptr) sampler_->maybe_sample(next);
+        parity_ ^= 1;
+    };
+    std::barrier gate{static_cast<std::ptrdiff_t>(workers), complete};
 
     const bool prof = trace::profiling();
     if (prof) trace::profiler().begin_run();
     auto drive = [&](std::size_t j) {
-        // Chained profiler clock: every read below closes one span and
-        // opens the next, so a fully attributed window costs half the
-        // clock reads of begin/end brackets (the hooks run tens of
-        // thousands of times per second — read count IS the overhead).
+        // Chained profiler clock: every read closes one span (barrier,
+        // drain, one exec per shard) and opens the next, so a window
+        // costs 2 + (shards owned) clock reads per worker; the hooks run
+        // tens of thousands of times per second, and read count IS the
+        // overhead.
         std::uint64_t chain = prof ? trace::Profiler::now_ticks() : 0;
+        const auto span = [&] {
+            const std::uint64_t t = trace::Profiler::now_ticks();
+            const std::uint64_t d = t - chain;
+            chain = t;
+            return d;
+        };
         for (;;) {
-            if (j == 0) {
-                // The coordinator phase owns every shard queue: drain
-                // the window's cross-shard traffic, then size the next
-                // window (workers are parked at the barrier below) —
-                // which also makes it the one safe spot to scrape
-                // time-series probes over any shard's state.
-                drain_mailboxes();
-                SimTime next = Simulator::kNever;
-                for (Simulator* s : shards_) {
-                    next = std::min(next, s->next_event_at());
-                }
-                if (next == Simulator::kNever) {
-                    stop.store(true, std::memory_order_relaxed);
-                } else {
-                    ++windows_;
-                    window_end = window_end_after(next, lookahead_);
-                    if (sampler_ != nullptr) sampler_->maybe_sample(next);
-                }
+            // Park time includes the completion step: the window sizing
+            // and the sampler scrape stall every worker alike.
+            gate.arrive_and_wait();
+            if (prof) trace::profiler().add_barrier(j, span());
+            if (done) break;
+            for (std::size_t i = j; i < n; i += workers) drain_inbound(i);
+            if (prof) trace::profiler().add_drain(j, span());
+            for (std::size_t i = j; i < n; i += workers) {
+                // Spans recorded while executing shard i land in lane i
+                // no matter which thread runs the window, and the
+                // profiler charges exec time per shard, not per thread.
+                trace::tracer().bind_lane(i);
+                const std::uint64_t ev0 = shards_[i]->events_executed();
+                shards_[i]->run_window(window_end);
+                close_window(i);
                 if (prof) {
-                    const std::uint64_t t = trace::Profiler::now_ticks();
-                    trace::profiler().add_drain(0, t - chain);
-                    chain = t;
+                    trace::profiler().add_exec(
+                        i, span(), shards_[i]->events_executed() - ev0);
                 }
-            }
-            // Worker j's park time at either gate is its barrier-wait
-            // share: for j != 0 the first gate's wait covers the whole
-            // coordinator phase, the second covers straggler shards.
-            gate.arrive_and_wait();
-            if (prof) {
-                const std::uint64_t t = trace::Profiler::now_ticks();
-                trace::profiler().add_barrier(j, t - chain);
-                chain = t;
-            }
-            if (stop.load(std::memory_order_relaxed)) break;
-            run_shard_windows(j, workers, window_end, prof ? &chain : nullptr);
-            gate.arrive_and_wait();
-            if (prof) {
-                const std::uint64_t t = trace::Profiler::now_ticks();
-                trace::profiler().add_barrier(j, t - chain);
-                chain = t;
             }
         }
     };
@@ -205,18 +172,6 @@ SimTime ShardedSimulator::run_parallel(std::size_t workers) {
     trace::tracer().bind_lane(0);
     if (prof) trace::profiler().end_run();
     return now();
-}
-
-SimTime ShardedSimulator::run() {
-    if (shards_.size() == 1) {
-        // Degenerate partition (e.g. every node landed in one shard):
-        // plain sequential run, no windows, no barriers.
-        return shards_[0]->run();
-    }
-    DAIET_EXPECTS(lookahead_ > 0);
-    const std::size_t workers = std::min(threads_, shards_.size());
-    if (workers <= 1) return run_sequential();
-    return run_parallel(workers);
 }
 
 }  // namespace daiet::sim

@@ -13,17 +13,24 @@
 // coordination at all.
 //
 // Cross-shard frame deliveries are shipped through per-(src,dst)
-// mailboxes: plain vectors written by exactly one producer (the sending
-// shard's worker, during the window) and read by exactly one consumer
-// (the coordinator, strictly between window barriers) — single
-// producer, single consumer, no locks, with the inter-window
-// std::barrier providing the happens-before edge. Each CrossFrame
-// carries the sender-side arrival stamp; the coordinator drains boxes
-// in a fixed (destination shard, source shard, FIFO) order, so the
-// sequence numbers the receiving queue assigns — and therefore the
-// same-instant tie-break, and therefore the entire schedule — are
-// identical no matter how many worker threads ran the windows. That is
-// the determinism contract the bench gates on: 1-thread, 2-thread and
+// mailboxes (netsim/link.hpp), double-buffered by window parity: the
+// sending shard's worker appends to one side during a window while the
+// receiving shard's worker drains the other, so one std::barrier
+// crossing per window is the only synchronisation. Every worker runs
+// the same loop, for any worker count from 1 to S:
+//   1. cross the barrier;
+//   2. drain the inbound mailboxes of its own shards, in fixed (src
+//      shard, FIFO) order;
+//   3. run its shards' windows and record each shard's next_at =
+//      min(queue head, earliest arrival it shipped this window).
+// The barrier's completion step runs while every worker is parked: it
+// reduces next_at to the next window (or to the stop signal), scrapes
+// the time-series sampler and flips the mailbox parity. Because each
+// destination drains in the same order whoever runs it, the sequence
+// numbers the receiving queue assigns (and therefore the same-instant
+// tie-break, and therefore the entire schedule) are identical no
+// matter how many worker threads ran the windows. That is the
+// determinism contract the bench gates on: 1-thread, 2-thread and
 // N-thread runs produce bit-identical event counts, signatures and
 // final times.
 //
@@ -43,7 +50,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
-#include "netsim/link.hpp"  // CrossFrame
+#include "netsim/link.hpp"  // Mailbox
 #include "netsim/simulator.hpp"
 #include "netsim/time.hpp"
 
@@ -79,9 +86,9 @@ public:
     std::size_t thread_count() const noexcept { return threads_; }
 
     /// The (src -> dst) mailbox boundary link directions push into.
-    std::vector<CrossFrame>& mailbox(std::size_t src, std::size_t dst) {
+    Mailbox& mailbox(std::size_t src, std::size_t dst) {
         DAIET_EXPECTS(src != dst);
-        return mailboxes_[src * shards_.size() + dst];
+        return mailboxes_[dst * shards_.size() + src];
     }
 
     /// Run every shard to quiescence. Returns the final simulated time
@@ -100,30 +107,35 @@ public:
     /// Conservative windows executed by the last run() (diagnostics).
     std::uint64_t windows_run() const noexcept { return windows_; }
 
-    /// Window-driven time-series sampling: the coordinator calls
-    /// sampler->maybe_sample(window_start) between barriers, where it
-    /// has exclusive access to every shard's state — probes may read
-    /// any of it, no sim events are injected (signatures stay
-    /// bit-identical), and sample times are deterministic. Pass nullptr
-    /// to detach; the sampler must outlive any run() it is attached for.
+    /// Window-driven time-series sampling: the barrier's completion step
+    /// calls sampler->maybe_sample(window_start) while every worker is
+    /// parked, so probes may read any shard's state, no sim events are
+    /// injected (signatures stay bit-identical), and sample times are
+    /// deterministic. Pass nullptr to detach; the sampler must outlive
+    /// any run() it is attached for.
     void set_sampler(trace::TsSampler* sampler) noexcept { sampler_ = sampler; }
     trace::TsSampler* sampler() const noexcept { return sampler_; }
 
 private:
-    void drain_mailboxes();
-    /// One thread's share of a window: shards j, j+T, j+2T, ...
-    /// `chain` is the profiler's chained clock: non-null when profiling,
-    /// holding the tick the previous span ended at; each shard's window
-    /// costs ONE clock read (end == next start), and the final read is
-    /// written back for the caller's next span.
-    void run_shard_windows(std::size_t worker, std::size_t workers,
-                           SimTime window_end, std::uint64_t* chain = nullptr);
-    SimTime run_sequential();
-    SimTime run_parallel(std::size_t workers);
+    /// A shard's window bookkeeping, one cache line per shard: written
+    /// only by the worker that runs the shard, read by the completion
+    /// step while that worker is parked.
+    struct alignas(64) ShardClock {
+        SimTime next_at{Simulator::kNever};
+        SimTime shipped_min{Simulator::kNever};  ///< Mailbox::push lowers it
+    };
+
+    /// Schedule shard `dst`'s inbound traffic from the last window.
+    void drain_inbound(std::size_t dst);
+    /// Record shard i's next_at after its window and reset its
+    /// shipped-arrival minimum for the next one.
+    void close_window(std::size_t i);
 
     std::vector<Simulator*> shards_;               ///< [0] = primary, borrowed
     std::vector<std::unique_ptr<Simulator>> owned_;  ///< shards 1..S-1
-    std::vector<std::vector<CrossFrame>> mailboxes_;  ///< S*S, row = src
+    std::vector<Mailbox> mailboxes_;  ///< S*S, row = dst (a worker's drain is contiguous)
+    std::vector<ShardClock> clocks_;
+    unsigned parity_{0};  ///< the mailbox side senders fill this window
     SimTime lookahead_{Simulator::kNever};
     std::size_t threads_;
     std::uint64_t windows_{0};

@@ -50,7 +50,7 @@ void FabricSampler::add_fabric_probes() {
         // vector of name/byte pairs, and a probe runs once per sample
         // per tenant — allocating that report inside the hot sampling
         // loop is exactly the kind of observer cost the profiler's
-        // drain lane would then charge back to us.
+        // barrier time would then charge back to us.
         for (const auto& entry : mux->sram_report()) {
             const std::string& tenant = entry.first;
             if (TenantProgram* prog = rt_.tenant_at(sw->id(), tenant)) {

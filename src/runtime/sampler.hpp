@@ -9,9 +9,10 @@
 // counter tracks with no further plumbing.
 //
 // Two drive modes, chosen by start():
-//  - Parallel fabric: attaches to the ShardedSimulator, whose
-//    coordinator calls maybe_sample between window barriers — exclusive
-//    access to every shard, zero injected events, signatures untouched.
+//  - Parallel fabric: attaches to the ShardedSimulator, whose window
+//    barrier's completion step calls maybe_sample while every worker is
+//    parked — exclusive access to every shard, zero injected events,
+//    signatures untouched, samples independent of the thread count.
 //  - Single-threaded fabric: a self-rescheduling sim event pumps the
 //    sampler every period until the horizon. This DOES add events to
 //    the schedule (fine for examples and services; the determinism
@@ -51,7 +52,7 @@ public:
     void add_fabric_probes();
 
     /// Any scalar the caller can close over; the probe runs in the
-    /// sampling context (coordinator phase or sim event).
+    /// sampling context (barrier completion step or sim event).
     void add_probe(std::string_view name, std::string_view node,
                    std::function<double()> fn);
 

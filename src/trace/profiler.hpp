@@ -4,8 +4,9 @@
 // Answers "where does the 4-thread speedup go?" with numbers instead of
 // guesses: every lane (= shard, same numbering as the tracer's lanes)
 // accumulates how long its event windows took to EXECUTE, how long its
-// worker sat at the inter-window BARRIER, and how long the coordinator
-// spent DRAINING mailboxes and sizing windows. The summary turns those
+// worker sat at the window BARRIER (including the completion step that
+// sizes the next window and scrapes the sampler), and how long that
+// worker spent DRAINING its own shards' inbound mailboxes. The summary turns those
 // into per-shard utilization (exec / run wall-clock) and an imbalance
 // ratio (max/min shard exec) — the exact decomposition the ROADMAP's
 // "sim speed phase 2" item needs located before touching the driver.
@@ -24,7 +25,7 @@
 //
 // Threading contract (TSan-proof, no atomics on the hot path): slot i's
 // exec fields are written only by the worker executing shard i's window
-// (the inter-window barrier hands lanes off, exactly like the tracer's
+// (the window barrier hands lanes off, exactly like the tracer's
 // recording lanes); slot j's barrier/drain fields are written only by
 // worker j; the wall clock only by the thread driving run(). Reports
 // are taken after the workers joined.
@@ -98,12 +99,13 @@ public:
         s.events += events;
         ++s.windows;
     }
-    /// Ticks worker `lane` spent parked at an inter-window barrier.
+    /// Ticks worker `lane` spent parked at the window barrier, the
+    /// barrier's completion step included.
     void add_barrier(std::size_t lane, std::uint64_t ticks) noexcept {
         slot(lane).barrier_ticks += ticks;
     }
-    /// Coordinator ticks: mailbox drain + window sizing, charged to the
-    /// coordinating worker's lane.
+    /// Ticks worker `lane` spent handing its own shards' inbound
+    /// mailboxes to their queues at the start of a window.
     void add_drain(std::size_t lane, std::uint64_t ticks) noexcept {
         slot(lane).drain_ticks += ticks;
     }

@@ -11,9 +11,10 @@
 // fixed-capacity ring of (sim_ts, value) points, so a long run keeps
 // the most recent window instead of growing without bound. Probes are
 // registered at setup time; sampling is driven either by the parallel
-// driver's coordinator phase (between barriers, where every shard's
-// state is quiescent — no sim events injected, signatures untouched)
-// or by a self-rescheduling sim event for single-threaded runs.
+// driver's window barrier (its completion step runs while every worker
+// is parked, so every shard's state is quiescent — no sim events
+// injected, signatures untouched) or by a self-rescheduling sim event
+// for single-threaded runs.
 #pragma once
 
 #include <cstddef>
@@ -113,8 +114,8 @@ inline TimeSeriesRegistry& timeseries() { return TimeSeriesRegistry::instance();
 
 /// Scrapes a set of probes into their tracks on a fixed sim-time
 /// cadence. Owns no sim machinery: callers decide when "now" advances
-/// (the parallel coordinator calls maybe_sample between barriers; the
-/// single-threaded FabricSampler pumps it from a self-rescheduling
+/// (the parallel driver's barrier completion step calls maybe_sample;
+/// the single-threaded FabricSampler pumps it from a self-rescheduling
 /// event).
 class TsSampler {
 public:

@@ -792,9 +792,9 @@ TEST(ParallelSim, ThreadCountsProduceIdenticalOutcomes) {
 }
 
 // Two senders on different shards, arrivals at the same instant: the
-// barrier drain delivers mailboxes in (destination, source-shard, FIFO)
-// order, so the tie breaks toward the lower source shard — on every
-// thread count.
+// receiving shard's worker drains its inbound mailboxes in (source-shard,
+// FIFO) order, so the tie breaks toward the lower source shard — on
+// every thread count.
 struct RaceOutcome {
     std::vector<HostAddr> order;  ///< sources in order of arrival at h0
     HostAddr h1{0};

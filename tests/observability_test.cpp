@@ -753,5 +753,84 @@ TEST(FabricSampler, EventPumpSamplesLinkQueuesOnCadence) {
     EXPECT_TRUE(saw_queue_track);
 }
 
+// The window-driven sampler scrapes in the window barrier's completion
+// step, while every worker is parked. Its tracks must not depend on how
+// many threads ran the windows, and attaching it must add no event.
+struct SampledKvRun {
+    std::uint64_t signature{0};
+    std::uint64_t samples{0};
+    std::map<std::pair<std::string, std::string>,
+             std::vector<std::pair<std::uint64_t, double>>>
+        tracks;  ///< (name, node) -> every (ts, value) point
+};
+
+SampledKvRun run_partitioned_kv(std::size_t threads, bool sampled) {
+    trace::timeseries().clear();
+    rt::ClusterOptions opts = leaf_spine_opts();
+    opts.num_hosts = 8;
+    opts.n_leaf = 4;  // four rack shards
+    opts.daiet = true;
+    rt::ClusterRuntime rt{opts};
+    rt.enable_parallel(threads);
+    kv::KvServiceOptions kopts;
+    kopts.server_host = 0;
+    kv::KvService svc{rt, kopts};
+    svc.preload(64);
+    rt::FabricSampler sampler{rt, 5'000, 4096};
+    if (sampled) {
+        sampler.add_fabric_probes();
+        svc.install_probes(sampler);
+    }
+    kv::KvWorkload wl;
+    wl.num_keys = 64;
+    wl.requests_per_client = 60;
+    wl.get_fraction = 0.75;
+    svc.schedule(wl);
+    if (sampled) sampler.start(sim::Simulator::kNever);
+    rt.run();
+
+    SampledKvRun out;
+    out.samples = sampler.samples_taken();
+    std::uint64_t sig = 0xcbf29ce484222325ULL;
+    const auto fold = [&sig](std::uint64_t v) { sig = (sig ^ v) * 0x100000001b3ULL; };
+    fold(rt.network().events_executed());
+    fold(rt.network().now());
+    for (std::size_t c = 0; c < svc.fleet().num_clients(); ++c) {
+        for (const auto& r : svc.fleet().client(c).log()) {
+            fold(r.req_id);
+            fold(r.value);
+            fold(r.found);
+            fold(r.from_switch);
+            fold(r.completed);
+        }
+    }
+    out.signature = sig;
+    for (const trace::TimeSeries& ts : trace::timeseries().series()) {
+        EXPECT_EQ(ts.held(), ts.total()) << ts.name() << ": ring wrapped";
+        auto& points = out.tracks[{ts.name(), ts.node()}];
+        for (const trace::TsPoint& p : ts.snapshot()) points.emplace_back(p.ts, p.value);
+    }
+    return out;
+}
+
+TEST(FabricSampler, WindowDrivenSamplesMatchAcrossThreadCounts) {
+    ObsGuard guard;
+    const SampledKvRun unsampled = run_partitioned_kv(1, false);
+    const SampledKvRun one = run_partitioned_kv(1, true);
+    EXPECT_GT(one.samples, 10u);
+    EXPECT_TRUE(one.tracks.count({"sram.used_bytes", "leaf0"}));
+    EXPECT_TRUE(one.tracks.count({"kv.retransmits", "kv-clients"}));
+    for (const auto& [key, points] : one.tracks) {
+        EXPECT_EQ(points.size(), one.samples) << key.first << "@" << key.second;
+    }
+    EXPECT_EQ(one.signature, unsampled.signature);
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+        const SampledKvRun run = run_partitioned_kv(threads, true);
+        EXPECT_EQ(run.signature, unsampled.signature) << threads << " threads";
+        EXPECT_EQ(run.samples, one.samples) << threads << " threads";
+        EXPECT_TRUE(run.tracks == one.tracks) << threads << " threads";
+    }
+}
+
 }  // namespace
 }  // namespace daiet
