@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -156,6 +155,18 @@ private:
     std::vector<std::pair<std::string, std::vector<JsonObject>>> arrays_;
 };
 
+/// Writes a self-profile's summary onto the root as the prof_* fields.
+inline void stamp_profile(BenchJson& json, const trace::Profiler::Report& prof) {
+    json.root()
+        .integer("prof_wall_ns", prof.wall_ns)
+        .integer("prof_exec_ns", prof.exec_ns)
+        .integer("prof_barrier_ns", prof.barrier_ns)
+        .integer("prof_drain_ns", prof.drain_ns)
+        .number("prof_utilization_min", prof.utilization_min)
+        .number("prof_utilization_max", prof.utilization_max)
+        .number("prof_imbalance", prof.imbalance);
+}
+
 /// Stamps simulator speed onto a bench's JSON so sim throughput is
 /// tracked PR-over-PR across every bench, not just the dedicated
 /// macro-bench. Captures wall-clock and the process-wide event counter
@@ -179,34 +190,19 @@ public:
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           start_)
                 .count();
-        // Worker-thread cap the bench ran under (DAIET_THREADS; 1 =
-        // sequential), so speed trajectories are comparable only within
-        // one parallelism level.
-        long threads = 1;
-        if (const char* env = std::getenv("DAIET_THREADS")) {
-            const long parsed = std::strtol(env, nullptr, 10);
-            if (parsed > 0) threads = parsed;
-        }
+        // Every bench stamped here drives the sequential simulator.
         json.root()
             .integer("events_executed", events)
             .number("wall_clock_seconds", seconds)
             .number("events_per_sec",
                     seconds > 0 ? static_cast<double>(events) / seconds : 0.0)
-            .integer("threads", static_cast<std::uint64_t>(threads));
+            .integer("threads", 1);
         // When the bench ran with the self-profiler on, the utilization
         // breakdown lands next to sim_speed: the root gets the summary,
         // publish() puts the per-shard exec/barrier/drain split into the
         // spliced "metrics" array.
         if (trace::profiling()) {
-            const trace::Profiler::Report prof = trace::profiler().report();
-            json.root()
-                .integer("prof_wall_ns", prof.wall_ns)
-                .integer("prof_exec_ns", prof.exec_ns)
-                .integer("prof_barrier_ns", prof.barrier_ns)
-                .integer("prof_drain_ns", prof.drain_ns)
-                .number("prof_utilization_min", prof.utilization_min)
-                .number("prof_utilization_max", prof.utilization_max)
-                .number("prof_imbalance", prof.imbalance);
+            stamp_profile(json, trace::profiler().report());
             trace::profiler().publish();
         }
     }

@@ -108,23 +108,6 @@ ScalingResult run_scaling(std::size_t racks, std::size_t requests) {
 
 // ---------------------------------------------------------------- part B
 
-using OpSignature =
-    std::vector<std::tuple<std::uint32_t, kv::KvOp, Key16, WireValue>>;
-
-template <typename Service>
-std::vector<OpSignature> signatures(Service& svc) {
-    std::vector<OpSignature> out;
-    for (std::size_t c = 0; c < svc.num_clients(); ++c) {
-        OpSignature sig;
-        for (const auto& rec : svc.client(c).log()) {
-            sig.emplace_back(rec.req_id, rec.op, rec.key, rec.value);
-        }
-        std::sort(sig.begin(), sig.end());
-        out.push_back(std::move(sig));
-    }
-    return out;
-}
-
 kv::KvWorkload parity_workload(std::size_t requests) {
     kv::KvWorkload wl;
     wl.num_keys = 512;
@@ -296,7 +279,7 @@ int main() {
     std::puts("\npart B: sharded run == unsharded serial reference");
     const std::size_t parity_requests = std::max<std::size_t>(requests / 3, 60);
     const kv::KvWorkload wl = parity_workload(parity_requests);
-    std::vector<OpSignature> reference;
+    std::vector<kv::KvClient::History> reference;
     {
         rt::ClusterRuntime rt{shard_fabric()};
         kv::KvServiceOptions opts;
@@ -305,7 +288,7 @@ int main() {
         opts.cache_enabled = false;
         kv::KvService svc{rt, opts};
         svc.run(wl);
-        reference = signatures(svc);
+        reference = svc.fleet().histories();
     }
     for (const double loss : {0.0, 0.01}) {
         rt::ClusterRuntime rt{shard_fabric(loss)};
@@ -320,7 +303,7 @@ int main() {
         slo.window_ns = 500 * sim::kMicrosecond;  // SLI windows
         svc.set_slo(slo);
         const dir::ShardedKvRunStats stats = svc.run(wl);
-        const bool equal = signatures(svc) == reference;
+        const bool equal = svc.fleet().histories() == reference;
         std::printf("loss %.0f%%: %s (retransmits %llu, abandoned %llu)\n",
                     100.0 * loss, equal ? "value-identical" : "DIVERGED",
                     static_cast<unsigned long long>(stats.retransmits),

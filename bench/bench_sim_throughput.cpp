@@ -4,7 +4,7 @@
 // scale 1: 1024 hosts, 320 switches) concurrently carrying a
 // closed-loop kv service (switch cache + controller live), a two-round
 // DAIET aggregation job, and a cross-pod echo sweep — measured as
-// fresh-process trials (the binary re-execs itself per trial):
+// trials, each in its own forked child process:
 //
 //   * fast — the sequential simulator; each child runs the workload
 //     twice (cold pool, then warm pool) so the steady-state allocation
@@ -31,9 +31,11 @@
 //     profiled trial must hold 85% of the best base trial's
 //     throughput.
 //
-// Fresh processes keep one mode's heap churn from contaminating the
+// Forked children keep one mode's heap churn from contaminating the
 // other's measurement, and the overhead gates compare each mode's best
 // trial, so a burst of machine noise cannot flip the verdict.
+// DAIET_BENCH_PROFILE=fast|traced|parN|profN runs that one trial in
+// process instead, for a profiler or a sanitizer.
 //
 // Gates (any failure exits nonzero — the bench doubles as a CI gate):
 //   * golden schedule: at a scale in kGolden (0.05, 0.25 and 1), the
@@ -55,19 +57,24 @@
 // Writes BENCH_sim_throughput.json; its root events_per_sec is the best
 // sequential fast trial's rate. DAIET_SCALE scales the fabric arity and
 // the per-client request count.
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <unistd.h>
-
+#include <exception>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -405,118 +412,171 @@ RunResult run_workload(const Shape& s, std::size_t threads = 0,
     return out;
 }
 
-// --- fresh-process trial protocol ---------------------------------------
+// --- forked trial harness -----------------------------------------------
 //
-// Each measurement trial runs in a child process (this same binary,
-// re-executed with DAIET_BENCH_CHILD set): millions of mixed-size
+// Each measurement trial runs in a forked child: millions of mixed-size
 // allocations from one mode leave the heap in a state that measurably
 // slows the next mode in the same process, so in-process back-to-back
-// trials systematically contaminate each other. A child prints one
-// RESULT line per workload run; the parent parses them and applies the
-// gates.
+// trials systematically contaminate each other. The parent never runs a
+// workload, so every child starts from the same clean heap. A child
+// writes one ChildResult to a pipe; the parent applies the gates.
 
-void print_result(const char* label, const RunResult& r) {
-    std::printf("RESULT label=%s events=%llu wall=%.6f sig=%016llx "
-                "final=%llu allocs=%llu boxed=%llu allow=%llu kv=%llu "
-                "kvexp=%llu hit=%.9f aggs=%llu aggr=%llu echo=%llu "
-                "echoexp=%llu\n",
-                label, static_cast<unsigned long long>(r.events),
-                r.exec_seconds, static_cast<unsigned long long>(r.signature),
-                static_cast<unsigned long long>(r.final_time),
-                static_cast<unsigned long long>(r.frame_heap_allocs),
-                static_cast<unsigned long long>(r.boxed_actions),
-                static_cast<unsigned long long>(r.boxed_allowance),
-                static_cast<unsigned long long>(r.kv_completed),
-                static_cast<unsigned long long>(r.kv_expected), r.hit_rate,
-                static_cast<unsigned long long>(r.agg_pairs_sent),
-                static_cast<unsigned long long>(r.agg_pairs_received),
-                static_cast<unsigned long long>(r.echo_messages),
-                static_cast<unsigned long long>(r.echo_expected));
-    std::fflush(stdout);
+/// What a trial runs: the sequential simulator with tracing off (fast)
+/// or with the ring flight recorder live (traced), or the partitioned
+/// simulator bare (par) or with the observers live (prof).
+enum class Mode : std::uint8_t { kFast, kTraced, kPar, kProf };
+
+std::string mode_name(Mode mode, std::size_t threads) {
+    switch (mode) {
+        case Mode::kFast: return "fast";
+        case Mode::kTraced: return "traced";
+        case Mode::kPar: return "par" + std::to_string(threads);
+        case Mode::kProf: return "prof" + std::to_string(threads);
+    }
+    return {};
+}
+
+/// One trial's results, sent from child to parent as raw bytes. A fast
+/// or traced trial carries two runs (cold pool, then warm pool); a prof
+/// trial also carries the self-profiler's report, its lanes flattened
+/// into a fixed array.
+struct ChildResult {
+    RunResult runs[2]{};
+    std::size_t num_runs{0};
+    std::uint64_t wall_ns{0}, exec_ns{0}, barrier_ns{0}, drain_ns{0}, events{0};
+    double utilization_min{0}, utilization_max{0}, imbalance{1.0};
+    std::size_t num_lanes{0};
+    trace::Profiler::LaneReport lanes[trace::Profiler::kMaxLanes]{};
+
+    void set_profile(const trace::Profiler::Report& p) noexcept {
+        wall_ns = p.wall_ns;
+        exec_ns = p.exec_ns;
+        barrier_ns = p.barrier_ns;
+        drain_ns = p.drain_ns;
+        events = p.events;
+        utilization_min = p.utilization_min;
+        utilization_max = p.utilization_max;
+        imbalance = p.imbalance;
+        num_lanes = std::min(p.lanes.size(), trace::Profiler::kMaxLanes);
+        std::copy_n(p.lanes.begin(), num_lanes, lanes);
+    }
+    trace::Profiler::Report profile() const {
+        trace::Profiler::Report p;
+        p.wall_ns = wall_ns;
+        p.exec_ns = exec_ns;
+        p.barrier_ns = barrier_ns;
+        p.drain_ns = drain_ns;
+        p.events = events;
+        p.utilization_min = utilization_min;
+        p.utilization_max = utilization_max;
+        p.imbalance = imbalance;
+        p.lanes.assign(lanes, lanes + num_lanes);
+        return p;
+    }
+};
+static_assert(std::is_trivially_copyable_v<ChildResult>);
+
+/// Runs one trial in this process. A fast or traced trial runs the
+/// workload twice — cold pool, then warm pool — so the steady-state
+/// allocation gates see a warmed free list.
+ChildResult run_mode(const Shape& s, Mode mode, std::size_t threads) {
+    ChildResult out;
+    switch (mode) {
+        case Mode::kTraced:
+            // Every hop records a span into a fixed buffer. The fast
+            // trials run with tracing disabled — they are the "hooks
+            // must be invisible when off" measurement.
+            trace::tracer().enable_ring(std::size_t{1} << 16);
+            [[fallthrough]];
+        case Mode::kFast:
+            out.runs[0] = run_workload(s);
+            out.runs[1] = run_workload(s);
+            out.num_runs = 2;
+            break;
+        case Mode::kPar:
+            out.runs[0] = run_workload(s, threads);
+            out.num_runs = 1;
+            break;
+        case Mode::kProf:
+            // The parN run with the observers armed: the self-profiler
+            // attributes every shard's windows and the fabric sampler
+            // scrapes counter tracks in the barrier's completion step.
+            trace::profiler().enable();
+            out.runs[0] = run_workload(s, threads, /*profiled=*/true);
+            out.num_runs = 1;
+            out.set_profile(trace::profiler().report());
+            break;
+    }
+    return out;
+}
+
+/// Runs one trial in a forked child and reads its ChildResult back.
+/// Returns false, after printing FAIL, if the child threw, died or sent
+/// a short result. The child never returns into the caller's loop.
+bool fork_trial(const Shape& s, Mode mode, std::size_t threads, ChildResult& out) {
+    const std::string name = mode_name(mode, threads);
+    int fds[2] = {-1, -1};
+    std::fflush(stdout);  // else the child would inherit, and repeat, buffered text
+    if (pipe(fds) != 0) {
+        std::printf("FAIL: no pipe for the %s trial\n", name.c_str());
+        return false;
+    }
+    const pid_t pid = fork();
+    if (pid < 0) {
+        close(fds[0]);
+        close(fds[1]);
+        std::printf("FAIL: could not fork the %s trial\n", name.c_str());
+        return false;
+    }
+    if (pid == 0) {
+        close(fds[0]);
+        int rc = 1;
+        try {
+            const ChildResult r = run_mode(s, mode, threads);
+            const auto* p = reinterpret_cast<const char*>(&r);
+            std::size_t left = sizeof r;
+            ssize_t n = 0;
+            while (left > 0 && (n = write(fds[1], p, left)) > 0) {
+                p += n;
+                left -= static_cast<std::size_t>(n);
+            }
+            rc = left == 0 ? 0 : 1;
+        } catch (const std::exception& e) {
+            std::fprintf(stderr, "%s trial threw: %s\n", name.c_str(), e.what());
+        } catch (...) {
+            std::fprintf(stderr, "%s trial threw\n", name.c_str());
+        }
+        std::fflush(stdout);
+        _exit(rc);
+    }
+    close(fds[1]);
+    auto* p = reinterpret_cast<char*>(&out);
+    std::size_t got = 0;
+    ssize_t n = 0;
+    while (got < sizeof out && (n = read(fds[0], p + got, sizeof out - got)) != 0) {
+        if (n > 0) got += static_cast<std::size_t>(n);
+        else if (errno != EINTR) break;
+    }
+    close(fds[0]);
+    int status = 0;
+    while (waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+    }
+    const int code = WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
+    if (code != 0 || got != sizeof out) {
+        std::printf("FAIL: %s trial child exited %d with %zu of %zu result bytes\n",
+                    name.c_str(), code, got, sizeof out);
+        return false;
+    }
+    return true;
 }
 
 struct Trial {
     std::string label;
+    Mode mode{Mode::kFast};
+    std::size_t threads{0};  ///< 0 for the sequential modes
+    bool warm{false};        ///< a fast/traced trial's second (warm-pool) run
     RunResult r;
 };
-
-bool parse_result(const char* line, Trial& t) {
-    char label[32] = {};
-    unsigned long long events = 0, sig = 0, final_time = 0, allocs = 0,
-                       boxed = 0, allow = 0, kv = 0, kvexp = 0, aggs = 0,
-                       aggr = 0, echo = 0, echoexp = 0;
-    double wall = 0, hit = 0;
-    const int got = std::sscanf(
-        line,
-        "RESULT label=%31s events=%llu wall=%lf sig=%llx final=%llu "
-        "allocs=%llu boxed=%llu allow=%llu kv=%llu kvexp=%llu hit=%lf "
-        "aggs=%llu aggr=%llu echo=%llu echoexp=%llu",
-        label, &events, &wall, &sig, &final_time, &allocs, &boxed, &allow, &kv,
-        &kvexp, &hit, &aggs, &aggr, &echo, &echoexp);
-    if (got != 15) return false;
-    t.label = label;
-    t.r.events = events;
-    t.r.exec_seconds = wall;
-    t.r.events_per_sec = wall > 0 ? static_cast<double>(events) / wall : 0.0;
-    t.r.signature = sig;
-    t.r.final_time = final_time;
-    t.r.frame_heap_allocs = allocs;
-    t.r.boxed_actions = boxed;
-    t.r.boxed_allowance = allow;
-    t.r.kv_completed = kv;
-    t.r.kv_expected = kvexp;
-    t.r.hit_rate = hit;
-    t.r.agg_pairs_sent = aggs;
-    t.r.agg_pairs_received = aggr;
-    t.r.echo_messages = echo;
-    t.r.echo_expected = echoexp;
-    return true;
-}
-
-/// Re-exec this binary with DAIET_BENCH_CHILD=mode and collect its
-/// RESULT lines. Returns false if the child failed or reported nothing.
-/// /proc/self/exe must be resolved here, in this process — handing the
-/// literal link to popen's shell would re-exec the shell instead.
-bool run_child(const char* mode, const char* suffix, std::vector<Trial>& out,
-               std::vector<std::string>* prof_lines = nullptr) {
-    char exe[4096];
-    const ssize_t len = readlink("/proc/self/exe", exe, sizeof exe - 2);
-    if (len <= 0) {
-        std::puts("FAIL: could not resolve /proc/self/exe");
-        return false;
-    }
-    exe[len] = '\0';
-    std::string cmd = "\"";
-    cmd += exe;
-    cmd += "\"";
-    setenv("DAIET_BENCH_CHILD", mode, 1);
-    FILE* pipe = popen(cmd.c_str(), "r");
-    unsetenv("DAIET_BENCH_CHILD");
-    if (pipe == nullptr) {
-        std::printf("FAIL: could not spawn %s trial child\n", mode);
-        return false;
-    }
-    char line[512];
-    std::size_t got = 0;
-    while (std::fgets(line, sizeof line, pipe) != nullptr) {
-        Trial t;
-        if (parse_result(line, t)) {
-            t.label += suffix;
-            out.push_back(std::move(t));
-            ++got;
-        } else if (prof_lines != nullptr &&
-                   std::strncmp(line, "PROF", 4) == 0) {
-            prof_lines->emplace_back(line);
-        }
-    }
-    const int rc = pclose(pipe);
-    if (rc != 0 || got == 0) {
-        std::printf("FAIL: %s trial child exited %d with %zu results\n", mode,
-                    rc, got);
-        return false;
-    }
-    return true;
-}
 
 }  // namespace
 
@@ -524,78 +584,30 @@ int main() {
     const double scale = bench::scale_factor();
     const Shape s = shape_for(scale);
 
-    // Profiling hook: DAIET_BENCH_PROFILE=fast runs the sequential
-    // workload once and exits, so a profiler sees a single clean run
-    // instead of the trial harness.
-    if (const char* mode = std::getenv("DAIET_BENCH_PROFILE")) {
-        const RunResult r = run_workload(s);
-        std::printf("%s: %llu events in %.3fs (%.0f events/sec)\n", mode,
-                    static_cast<unsigned long long>(r.events), r.exec_seconds,
-                    r.events_per_sec);
-        return 0;
-    }
-
-    // Child mode: one fresh-process measurement trial. A fast child runs
-    // the workload twice — cold pool, then warm pool — so the
-    // steady-state allocation gates see a warmed free list.
-    if (const char* mode = std::getenv("DAIET_BENCH_CHILD")) {
-        const std::string_view m{mode};
-        // A profN child is the parN run with the observers armed: the
-        // self-profiler attributes every shard's windows and the fabric
-        // sampler scrapes counter tracks in the barrier's completion
-        // step. It prints the standard RESULT line (same parity group as
-        // parN) plus PROFILE/PROFSUM lines the parent folds into the JSON.
-        if (m.rfind("prof", 0) == 0) {
-            const std::size_t threads = std::max<std::size_t>(
-                static_cast<std::size_t>(std::atoi(mode + 4)), 1);
-            trace::profiler().enable();
-            const RunResult r = run_workload(s, threads, /*profiled=*/true);
-            print_result(mode, r);
-            const trace::Profiler::Report prof = trace::profiler().report();
-            for (const trace::Profiler::LaneReport& lane : prof.lanes) {
-                std::printf(
-                    "PROFILE shard=%zu exec_ns=%llu barrier_ns=%llu "
-                    "drain_ns=%llu windows=%llu events=%llu util=%.6f\n",
-                    lane.lane,
-                    static_cast<unsigned long long>(lane.exec_ns),
-                    static_cast<unsigned long long>(lane.barrier_ns),
-                    static_cast<unsigned long long>(lane.drain_ns),
-                    static_cast<unsigned long long>(lane.windows),
-                    static_cast<unsigned long long>(lane.events),
-                    lane.utilization);
-            }
-            std::printf(
-                "PROFSUM wall_ns=%llu exec_ns=%llu barrier_ns=%llu "
-                "drain_ns=%llu util_min=%.6f util_max=%.6f imbalance=%.6f "
-                "samples=%llu\n",
-                static_cast<unsigned long long>(prof.wall_ns),
-                static_cast<unsigned long long>(prof.exec_ns),
-                static_cast<unsigned long long>(prof.barrier_ns),
-                static_cast<unsigned long long>(prof.drain_ns),
-                prof.utilization_min, prof.utilization_max, prof.imbalance,
-                static_cast<unsigned long long>(r.ts_samples));
-            std::fflush(stdout);
-            return 0;
+    // Profiling hook: DAIET_BENCH_PROFILE=fast|traced|parN|profN runs
+    // that one trial in this process and exits, so a profiler or a
+    // sanitizer sees a single clean trial instead of the harness.
+    if (const char* knob = std::getenv("DAIET_BENCH_PROFILE")) {
+        const std::string_view m{knob};
+        Mode mode = Mode::kFast;
+        std::size_t threads = 0;
+        if (m == "traced") {
+            mode = Mode::kTraced;
+        } else if (const bool prof = m.rfind("prof", 0) == 0; prof || m.rfind("par", 0) == 0) {
+            mode = prof ? Mode::kProf : Mode::kPar;
+            threads = static_cast<std::size_t>(std::max(std::atoi(knob + (prof ? 4 : 3)), 1));
+        } else if (m != "fast") {
+            std::printf("FAIL: DAIET_BENCH_PROFILE=%s (want fast, traced, parN "
+                        "or profN)\n", knob);
+            return 1;
         }
-        // A parN child runs the fast path once under the parallel
-        // sharded simulator with N worker threads.
-        if (m.rfind("par", 0) == 0) {
-            const std::size_t threads =
-                static_cast<std::size_t>(std::atoi(mode + 3));
-            const RunResult r = run_workload(s, std::max<std::size_t>(threads, 1));
-            print_result(mode, r);
-            return 0;
+        const ChildResult c = run_mode(s, mode, threads);
+        for (std::size_t i = 0; i < c.num_runs; ++i) {
+            const RunResult& r = c.runs[i];
+            std::printf("%s%s: %llu events in %.3fs (%.0f events/sec)\n", knob,
+                        i == 1 ? "-warm" : "", static_cast<unsigned long long>(r.events),
+                        r.exec_seconds, r.events_per_sec);
         }
-        const bool traced = m == "traced";
-        // A traced child measures the fast path with the ring flight
-        // recorder live: every hop records a span into a fixed buffer.
-        // The plain fast children run with tracing disabled — they are
-        // the "hooks must be invisible when off" measurement.
-        if (traced) trace::tracer().enable_ring(std::size_t{1} << 16);
-        const RunResult r1 = run_workload(s);
-        print_result(traced ? "traced" : "fast", r1);
-        const RunResult r2 = run_workload(s);
-        print_result(traced ? "traced-warm" : "fast-warm", r2);
         return 0;
     }
 
@@ -627,10 +639,24 @@ int main() {
         .number("scale", scale);
 
     std::vector<Trial> trials;
+    std::optional<ChildResult> profiled;  // the first profN child's result
     bool healthy = true;
-    healthy &= run_child("fast", "", trials);
-    healthy &= run_child("fast", "#2", trials);
-    healthy &= run_child("traced", "", trials);
+    const auto trial = [&](Mode mode, std::size_t threads, const char* suffix) {
+        ChildResult c;
+        if (!fork_trial(s, mode, threads, c)) {
+            healthy = false;
+            return;
+        }
+        for (std::size_t i = 0; i < c.num_runs; ++i) {
+            const bool warm = i == 1;
+            trials.push_back({mode_name(mode, threads) + (warm ? "-warm" : "") + suffix,
+                              mode, threads, warm, c.runs[i]});
+        }
+        if (mode == Mode::kProf && !profiled) profiled = c;
+    };
+    trial(Mode::kFast, 0, "");
+    trial(Mode::kFast, 0, "#2");
+    trial(Mode::kTraced, 0, "");
     // Parallel trials: one child per thread count. DAIET_THREADS caps
     // the set (the CI smoke runs with DAIET_THREADS=2 to keep it
     // cheap); the partition — and so the parN event graph — is the
@@ -643,8 +669,7 @@ int main() {
     std::size_t prof_threads = 0;
     for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
         if (n > max_threads) break;
-        const std::string mode = "par" + std::to_string(n);
-        healthy &= run_child(mode.c_str(), "", trials);
+        trial(Mode::kPar, n, "");
         prof_threads = n;
     }
     // Profiled trials at the widest parN that ran: the parN schedule
@@ -654,13 +679,10 @@ int main() {
     // against best, so one noisy trial on a shared box cannot fake (or
     // mask) a regression. The attribution folded into the JSON comes
     // from the first profiled child only.
-    std::vector<std::string> prof_lines;
     if (prof_threads > 0) {
-        const std::string mode = "prof" + std::to_string(prof_threads);
-        const std::string base = "par" + std::to_string(prof_threads);
-        healthy &= run_child(mode.c_str(), "", trials, &prof_lines);
-        healthy &= run_child(base.c_str(), "#2", trials);
-        healthy &= run_child(mode.c_str(), "#2", trials);
+        trial(Mode::kProf, prof_threads, "");
+        trial(Mode::kPar, prof_threads, "#2");
+        trial(Mode::kProf, prof_threads, "#2");
     }
     if (trials.empty()) {
         std::puts("FAIL: no trials completed");
@@ -691,37 +713,34 @@ int main() {
             .integer("echo_messages", r.echo_messages);
     }
 
-    double traced_eps = 0;
-    double par1_eps = 0, par4_eps = 0;
-    double prof_eps = 0, prof_base_eps = 0;
-    RunResult best_fast;
-    const RunResult* warm = nullptr;
-    std::vector<const Trial*> par_trials;
-    const std::string prof_base_label = "par" + std::to_string(prof_threads);
-    for (const Trial& t : trials) {
-        if (t.label.rfind(prof_base_label, 0) == 0) {
-            prof_base_eps = std::max(prof_base_eps, t.r.events_per_sec);
-        }
-        if (t.label.rfind("traced", 0) == 0) {
-            traced_eps = std::max(traced_eps, t.r.events_per_sec);
-        } else if (t.label.rfind("prof", 0) == 0) {
-            // Same schedule as the parN group — parity-checked with it.
-            prof_eps = std::max(prof_eps, t.r.events_per_sec);
-            par_trials.push_back(&t);
-        } else if (t.label.rfind("par", 0) == 0) {
-            par_trials.push_back(&t);
-            if (t.label.rfind("par1", 0) == 0) {
-                par1_eps = std::max(par1_eps, t.r.events_per_sec);
+    // Every rate gate compares best trial against best trial; an empty
+    // RunResult (rate 0) stands in for a mode that never completed.
+    const auto best = [&trials](Mode mode, std::size_t threads) {
+        RunResult out;
+        for (const Trial& t : trials) {
+            if (t.mode == mode && t.threads == threads &&
+                t.r.events_per_sec > out.events_per_sec) {
+                out = t.r;
             }
-            if (t.label.rfind("par4", 0) == 0) {
-                par4_eps = std::max(par4_eps, t.r.events_per_sec);
-            }
-        } else if (t.r.events_per_sec > best_fast.events_per_sec) {
-            best_fast = t.r;
         }
-        if (t.label.rfind("fast-warm", 0) == 0) warm = &t.r;
-    }
+        return out;
+    };
+    const auto partitioned = [](const Trial& t) {
+        return t.mode == Mode::kPar || t.mode == Mode::kProf;
+    };
+    const RunResult best_fast = best(Mode::kFast, 0);
     const double fast_eps = best_fast.events_per_sec;
+    const double traced_eps = best(Mode::kTraced, 0).events_per_sec;
+    const double par1_eps = best(Mode::kPar, 1).events_per_sec;
+    const double par4_eps = best(Mode::kPar, 4).events_per_sec;
+    const double prof_eps = best(Mode::kProf, prof_threads).events_per_sec;
+    const double prof_base_eps = best(Mode::kPar, prof_threads).events_per_sec;
+    const RunResult* warm = nullptr;
+    std::vector<const Trial*> par_trials;  // prof trials share parN's schedule
+    for (const Trial& t : trials) {
+        if (partitioned(t)) par_trials.push_back(&t);
+        if (t.mode == Mode::kFast && t.warm) warm = &t.r;
+    }
     std::printf("\nsequential fast: %.0f events/sec (best trial)\n", fast_eps);
 
     // Tracing cost with the recorder on: the ring-traced trial must keep
@@ -763,10 +782,9 @@ int main() {
     double prof_overhead = 0.0;
     if (prof_eps > 0 && prof_base_eps > 0) {
         prof_overhead = 1.0 - prof_eps / prof_base_eps;
-        std::printf("profiled prof%zu: %.1f%% overhead vs %s "
+        std::printf("profiled prof%zu: %.1f%% overhead vs par%zu "
                     "(gate: <= 15%%)\n",
-                    prof_threads, 100.0 * prof_overhead,
-                    prof_base_label.c_str());
+                    prof_threads, 100.0 * prof_overhead, prof_threads);
         if (prof_eps < 0.85 * prof_base_eps) {
             std::puts("FAIL: profiling + sampling cost the parallel run "
                       "more than 15% of its throughput");
@@ -777,57 +795,31 @@ int main() {
         healthy = false;
     }
 
-    // Fold the profiled child's per-shard attribution into the JSON
-    // (PROFILE lines) and onto the root (PROFSUM), under the same field
-    // names SimSpeedMeter::stamp uses for in-process profiled benches.
+    // Fold the first profiled child's per-shard attribution into the
+    // JSON and its summary onto the root, under the same field names
+    // in-process profiled benches write.
     std::uint64_t prof_samples = 0;
-    bool have_profsum = false;
-    for (const std::string& pline : prof_lines) {
-        std::size_t shard = 0;
-        unsigned long long exec = 0, barrier = 0, drain = 0, windows = 0,
-                           events = 0, samples = 0, wall = 0;
-        double util = 0, util_min = 0, util_max = 0, imbalance = 0;
-        if (std::sscanf(pline.c_str(),
-                        "PROFILE shard=%zu exec_ns=%llu barrier_ns=%llu "
-                        "drain_ns=%llu windows=%llu events=%llu util=%lf",
-                        &shard, &exec, &barrier, &drain, &windows, &events,
-                        &util) == 7) {
+    if (profiled) {
+        const trace::Profiler::Report prof = profiled->profile();
+        prof_samples = profiled->runs[0].ts_samples;
+        for (const trace::Profiler::LaneReport& lane : prof.lanes) {
             json.push("profile")
-                .integer("shard", shard)
-                .integer("exec_ns", exec)
-                .integer("barrier_ns", barrier)
-                .integer("drain_ns", drain)
-                .integer("windows", windows)
-                .integer("events", events)
-                .number("utilization", util);
-        } else if (std::sscanf(
-                       pline.c_str(),
-                       "PROFSUM wall_ns=%llu exec_ns=%llu barrier_ns=%llu "
-                       "drain_ns=%llu util_min=%lf util_max=%lf "
-                       "imbalance=%lf samples=%llu",
-                       &wall, &exec, &barrier, &drain, &util_min, &util_max,
-                       &imbalance, &samples) == 8) {
-            have_profsum = true;
-            prof_samples = samples;
-            std::printf("profile: wall %.3f ms, exec %.3f ms, barrier "
-                        "%.3f ms, drain %.3f ms, utilization %.0f%%..%.0f%%, "
-                        "imbalance %.2fx, %llu counter samples\n",
-                        wall / 1e6, exec / 1e6, barrier / 1e6, drain / 1e6,
-                        100.0 * util_min, 100.0 * util_max, imbalance,
-                        samples);
-            json.root()
-                .integer("prof_wall_ns", wall)
-                .integer("prof_exec_ns", exec)
-                .integer("prof_barrier_ns", barrier)
-                .integer("prof_drain_ns", drain)
-                .number("prof_utilization_min", util_min)
-                .number("prof_utilization_max", util_max)
-                .number("prof_imbalance", imbalance);
+                .integer("shard", lane.lane)
+                .integer("exec_ns", lane.exec_ns)
+                .integer("barrier_ns", lane.barrier_ns)
+                .integer("drain_ns", lane.drain_ns)
+                .integer("windows", lane.windows)
+                .integer("events", lane.events)
+                .number("utilization", lane.utilization);
         }
-    }
-    if (prof_threads > 0 && !have_profsum) {
-        std::puts("FAIL: the profiled trial reported no PROFSUM line");
-        healthy = false;
+        std::printf("profile: wall %.3f ms, exec %.3f ms, barrier "
+                    "%.3f ms, drain %.3f ms, utilization %.0f%%..%.0f%%, "
+                    "imbalance %.2fx, %llu counter samples\n",
+                    prof.wall_ns / 1e6, prof.exec_ns / 1e6, prof.barrier_ns / 1e6,
+                    prof.drain_ns / 1e6, 100.0 * prof.utilization_min,
+                    100.0 * prof.utilization_max, prof.imbalance,
+                    static_cast<unsigned long long>(prof_samples));
+        bench::stamp_profile(json, prof);
     }
     if (prof_threads > 0 && prof_samples == 0) {
         std::puts("FAIL: the fabric sampler took no counter samples");
@@ -850,8 +842,7 @@ int main() {
     const RunResult& oracle = trials.front().r;
     bool deterministic = true;
     for (const Trial& t : trials) {
-        if (t.label.rfind("par", 0) == 0) continue;
-        if (t.label.rfind("prof", 0) == 0) continue;
+        if (partitioned(t)) continue;
         if (t.r.signature != oracle.signature || t.r.events != oracle.events ||
             t.r.final_time != oracle.final_time) {
             std::printf("FAIL: %s diverged from %s "

@@ -193,9 +193,6 @@ kv::KvRunStats run_congested(bool ecn_backoff, std::size_t requests,
 
 // ---------------------------------------------------------------- part C
 
-using OpSignature =
-    std::vector<std::tuple<std::uint32_t, kv::KvOp, Key16, WireValue>>;
-
 rt::RoundStats agg_round(rt::ClusterRuntime& rt) {
     rt::JobSpec spec;
     spec.name = "co-tenant";
@@ -245,34 +242,21 @@ bool run_parity() {
         o.config.cache_slots = 16;
         return o;
     };
-    const auto signatures = [](kv::KvService& svc) {
-        std::vector<OpSignature> out;
-        for (std::size_t c = 0; c < svc.num_clients(); ++c) {
-            OpSignature sig;
-            for (const auto& rec : svc.client(c).log()) {
-                sig.emplace_back(rec.req_id, rec.op, rec.key, rec.value);
-            }
-            std::sort(sig.begin(), sig.end());
-            out.push_back(std::move(sig));
-        }
-        return out;
-    };
-
-    std::vector<OpSignature> serial_kv;
+    std::vector<kv::KvClient::History> serial_kv;
     {
         rt::ClusterRuntime rt{options()};
         telemetry::TelemetryService tel{rt};
         kv::KvService svc{rt, kv_options()};
         tel.start(2 * kCadence, 10 * sim::kMillisecond);
         svc.run(wl);
-        serial_kv = signatures(svc);
+        serial_kv = svc.fleet().histories();
     }
     rt::RoundStats serial_agg;
     {
         rt::ClusterRuntime rt{options()};
         serial_agg = agg_round(rt);
     }
-    std::vector<OpSignature> concurrent_kv;
+    std::vector<kv::KvClient::History> concurrent_kv;
     rt::RoundStats concurrent_agg;
     {
         rt::ClusterRuntime rt{options()};
@@ -281,7 +265,7 @@ bool run_parity() {
         svc.schedule(wl);
         tel.start(2 * kCadence, 10 * sim::kMillisecond);
         concurrent_agg = agg_round(rt);
-        concurrent_kv = signatures(svc);
+        concurrent_kv = svc.fleet().histories();
     }
     return concurrent_kv == serial_kv &&
            concurrent_agg.pairs_received == serial_agg.pairs_received;

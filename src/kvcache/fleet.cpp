@@ -85,6 +85,13 @@ KvClient& KvClientFleet::client(std::size_t i) {
     return *clients_[i];
 }
 
+std::vector<KvClient::History> KvClientFleet::histories() const {
+    std::vector<KvClient::History> out;
+    out.reserve(clients_.size());
+    for (const auto& c : clients_) out.push_back(c->history());
+    return out;
+}
+
 void KvClientFleet::expect_valid(const KvWorkload& workload) const {
     DAIET_EXPECTS(workload.num_keys > 0);
     DAIET_EXPECTS(workload.requests_per_client > 0);

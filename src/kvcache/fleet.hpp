@@ -105,6 +105,8 @@ public:
 
     std::size_t num_clients() const noexcept { return clients_.size(); }
     KvClient& client(std::size_t i);
+    /// Every client's history(), in client order.
+    std::vector<KvClient::History> histories() const;
     /// Host index of each client, in client order.
     const std::vector<std::size_t>& hosts() const noexcept { return hosts_; }
 

@@ -115,6 +115,14 @@ void KvStoreServer::on_datagram(sim::HostAddr src, std::uint16_t src_port,
 
 // ------------------------------------------------------------- KvClient
 
+KvClient::History KvClient::history() const {
+    History out;
+    out.reserve(log_.size());
+    for (const OpRecord& r : log_) out.emplace_back(r.req_id, r.op, r.key, r.value);
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
 KvClient::KvClient(sim::Host& host, KvConfig config, sim::HostAddr server)
     : host_{&host},
       config_{config},

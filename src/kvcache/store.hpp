@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -182,6 +183,13 @@ public:
     /// Every completed request in completion order (reply values are
     /// the correctness surface for parity/coherence tests).
     const std::vector<OpRecord>& log() const noexcept { return log_; }
+    /// One request's value-level outcome: (req_id, op, key, value).
+    using Outcome = std::tuple<std::uint32_t, KvOp, Key16, WireValue>;
+    using History = std::vector<Outcome>;
+    /// The log's outcomes sorted by request id: the value history a
+    /// parity check compares against a serial reference, which caching,
+    /// sharding, loss and co-tenants must not change.
+    History history() const;
     std::size_t outstanding() const noexcept { return pending_.size(); }
     /// The retry transport underneath (retransmit/barrier stats).
     const transport::RetryChannel& channel() const noexcept { return channel_; }

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <map>
-#include <tuple>
 #include <vector>
 
 #include "directory/sharded_service.hpp"
@@ -79,18 +78,6 @@ ShardedKvOptions two_rack_options() {
     opts.server_hosts = {0, 2};
     opts.client_hosts = {4, 5, 6, 7};
     return opts;
-}
-
-using OpSignature =
-    std::vector<std::tuple<std::uint32_t, kv::KvOp, Key16, WireValue>>;
-
-OpSignature signature_of(const kv::KvClient& client) {
-    OpSignature out;
-    for (const auto& record : client.log()) {
-        out.emplace_back(record.req_id, record.op, record.key, record.value);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
 }
 
 // ------------------------------------------------------------- steering
@@ -378,16 +365,14 @@ TEST(ShardedParity, ShardedRunMatchesUnshardedReference) {
     wl.request_interval = 15 * sim::kMicrosecond;
     wl.rebalance_interval = 50 * sim::kMicrosecond;
 
-    std::vector<OpSignature> sharded;
+    std::vector<kv::KvClient::History> sharded;
     {
         rt::ClusterRuntime rt{fabric(4, 8)};
         ShardedKvService svc{rt, two_rack_options()};
         svc.run(wl);
-        for (std::size_t c = 0; c < svc.num_clients(); ++c) {
-            sharded.push_back(signature_of(svc.client(c)));
-        }
+        sharded = svc.fleet().histories();
     }
-    std::vector<OpSignature> reference;
+    std::vector<kv::KvClient::History> reference;
     {
         rt::ClusterRuntime rt{fabric(4, 8)};
         kv::KvServiceOptions opts;
@@ -396,9 +381,7 @@ TEST(ShardedParity, ShardedRunMatchesUnshardedReference) {
         opts.cache_enabled = false;
         kv::KvService svc{rt, opts};
         svc.run(wl);
-        for (std::size_t c = 0; c < svc.num_clients(); ++c) {
-            reference.push_back(signature_of(svc.client(c)));
-        }
+        reference = svc.fleet().histories();
     }
     ASSERT_EQ(sharded.size(), reference.size());
     EXPECT_EQ(sharded, reference);

@@ -72,19 +72,6 @@ KvServiceOptions cache_options(std::size_t slots) {
     return opts;
 }
 
-/// The deterministic request outcome (issue order, op, key, value) —
-/// everything that must not depend on caching or co-tenants.
-using OpSignature = std::vector<std::tuple<std::uint32_t, KvOp, Key16, WireValue>>;
-
-OpSignature signature_of(const KvClient& client) {
-    OpSignature out;
-    for (const auto& record : client.log()) {
-        out.emplace_back(record.req_id, record.op, record.key, record.value);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
 // ------------------------------------------------------------- hit rate
 
 TEST(KvCache, ZipfHitRateClearsBarAndBeatsUniform) {
@@ -252,7 +239,7 @@ TEST(KvCache, DisabledBaselineReturnsIdenticalValues) {
     for (std::size_t c = 0; c < cached.num_clients(); ++c) {
         // Same ops, same keys, byte-identical reply values — caching
         // changes *where* a reply comes from, never *what* it says.
-        EXPECT_EQ(signature_of(cached.client(c)), signature_of(plain.client(c)));
+        EXPECT_EQ(cached.client(c).history(), plain.client(c).history());
     }
 }
 
@@ -292,14 +279,14 @@ TEST(KvCoexistence, KvWorkloadAndAggregationJobShareOneFabric) {
     agg_spec.name = "coexist";
 
     // --- serial reference runs -------------------------------------------
-    OpSignature serial_kv[2];
+    KvClient::History serial_kv[2];
     std::size_t serial_sram_used = 0;
     {
         rt::ClusterRuntime rt{star_options(6)};
         KvService svc{rt, kv_opts};
         svc.run(workload);
-        serial_kv[0] = signature_of(svc.client(0));
-        serial_kv[1] = signature_of(svc.client(1));
+        serial_kv[0] = svc.client(0).history();
+        serial_kv[1] = svc.client(1).history();
     }
     std::map<std::string, std::int64_t> serial_agg;
     {
@@ -340,8 +327,8 @@ TEST(KvCoexistence, KvWorkloadAndAggregationJobShareOneFabric) {
     driver.verify(receivers);
 
     // Both tenants produced results identical to their serial runs.
-    EXPECT_EQ(signature_of(svc.client(0)), serial_kv[0]);
-    EXPECT_EQ(signature_of(svc.client(1)), serial_kv[1]);
+    EXPECT_EQ(svc.client(0).history(), serial_kv[0]);
+    EXPECT_EQ(svc.client(1).history(), serial_kv[1]);
     EXPECT_EQ(as_map(*receivers[0]), serial_agg);
 
     // And both actually exercised the shared chip: in-network hits,

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <map>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -397,18 +396,6 @@ TEST(KvController, DeadKeysDecayOutInsteadOfLingering) {
 
 // ------------------------------- three tenant families, one lossy fabric
 
-using OpSignature =
-    std::vector<std::tuple<std::uint32_t, kv::KvOp, Key16, WireValue>>;
-
-OpSignature signature_of(const kv::KvClient& client) {
-    OpSignature out;
-    for (const auto& record : client.log()) {
-        out.emplace_back(record.req_id, record.op, record.key, record.value);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
 /// One aggregation round over hosts 6/7 -> 5 of an 8-host leaf-spine.
 rt::RoundStats run_agg_round(rt::ClusterRuntime& rt, bool run_now) {
     rt::JobSpec spec;
@@ -450,7 +437,7 @@ TEST(ThreeTenants, ConcurrentLossyRunMatchesSerialResults) {
 
     // Serial reference 1: the kv workload alone (telemetry attached —
     // it must not perturb values either).
-    std::vector<OpSignature> serial_kv;
+    std::vector<kv::KvClient::History> serial_kv;
     {
         rt::ClusterRuntime rt{options()};
         TelemetryService tel{rt, {}};
@@ -461,9 +448,7 @@ TEST(ThreeTenants, ConcurrentLossyRunMatchesSerialResults) {
         kv::KvService svc{rt, kv_opts};
         tel.start(100 * sim::kMicrosecond, 10 * sim::kMillisecond);
         svc.run(workload);
-        for (std::size_t c = 0; c < svc.num_clients(); ++c) {
-            serial_kv.push_back(signature_of(svc.client(c)));
-        }
+        serial_kv = svc.fleet().histories();
     }
     // Serial reference 2: the aggregation round alone.
     rt::RoundStats serial_agg;
@@ -473,7 +458,7 @@ TEST(ThreeTenants, ConcurrentLossyRunMatchesSerialResults) {
     }
 
     // Concurrent: all three tenant families share the lossy fabric.
-    std::vector<OpSignature> concurrent_kv;
+    std::vector<kv::KvClient::History> concurrent_kv;
     rt::RoundStats concurrent_agg;
     {
         rt::ClusterRuntime rt{options()};
@@ -486,9 +471,7 @@ TEST(ThreeTenants, ConcurrentLossyRunMatchesSerialResults) {
         svc.schedule(workload);
         tel.start(100 * sim::kMicrosecond, 10 * sim::kMillisecond);
         concurrent_agg = run_agg_round(rt, /*run_now=*/true);
-        for (std::size_t c = 0; c < svc.num_clients(); ++c) {
-            concurrent_kv.push_back(signature_of(svc.client(c)));
-        }
+        concurrent_kv = svc.fleet().histories();
         // The telemetry tenant really ran on the shared chips.
         const TelemetrySwitchProgram* tor = tel.program_at(svc.cache_node());
         ASSERT_NE(tor, nullptr);

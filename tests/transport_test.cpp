@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <map>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -328,18 +327,6 @@ kv::KvServiceOptions cache_options(std::size_t slots) {
     return opts;
 }
 
-using OpSignature =
-    std::vector<std::tuple<std::uint32_t, kv::KvOp, Key16, WireValue>>;
-
-OpSignature signature_of(const kv::KvClient& client) {
-    OpSignature out;
-    for (const auto& record : client.log()) {
-        out.emplace_back(record.req_id, record.op, record.key, record.value);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
 TEST(SwitchProgramMux, UnclaimedTrafficIsDroppedOrForwardedSanely) {
     rt::ClusterRuntime rt{star_options(3)};
     kv::KvService svc{rt, cache_options(8)};  // daiet + kvcache resident
@@ -401,11 +388,9 @@ TEST(SwitchProgramMux, DispatchOrderDoesNotChangeResults) {
         first->schedule(workload);
         second->schedule(workload);
         rt.run();
-        std::vector<OpSignature> out;
-        for (auto* svc : {first.get(), second.get()}) {
-            for (std::size_t c = 0; c < svc->num_clients(); ++c) {
-                out.push_back(signature_of(svc->client(c)));
-            }
+        std::vector<kv::KvClient::History> out = first->fleet().histories();
+        for (kv::KvClient::History& h : second->fleet().histories()) {
+            out.push_back(std::move(h));
         }
         return out;
     };
@@ -629,7 +614,7 @@ TEST(KvUnderLoss, LossyCachedRunMatchesLossFreeUncachedRun) {
     // uncached run: loss changes timing, never outcomes.
     ASSERT_EQ(cached.num_clients(), plain.num_clients());
     for (std::size_t c = 0; c < cached.num_clients(); ++c) {
-        EXPECT_EQ(signature_of(cached.client(c)), signature_of(plain.client(c)));
+        EXPECT_EQ(cached.client(c).history(), plain.client(c).history());
     }
 
     // No wedged coherence state: every in-flight-write register drained
@@ -688,13 +673,13 @@ TEST(ConcurrentLoss, AggregationAndKvRecoveringTogetherMatchSerialRuns) {
     kv_opts.client_hosts = {1, 2};
 
     // --- loss-free serial references ---------------------------------------
-    OpSignature serial_kv[2];
+    kv::KvClient::History serial_kv[2];
     {
         rt::ClusterRuntime rt{star_options(6)};
         kv::KvService svc{rt, kv_opts};
         svc.run(workload);
-        serial_kv[0] = signature_of(svc.client(0));
-        serial_kv[1] = signature_of(svc.client(1));
+        serial_kv[0] = svc.client(0).history();
+        serial_kv[1] = svc.client(1).history();
     }
     std::map<std::string, std::int64_t> serial_agg;
     {
@@ -749,8 +734,8 @@ TEST(ConcurrentLoss, AggregationAndKvRecoveringTogetherMatchSerialRuns) {
     EXPECT_EQ(kv_stats.abandoned, 0U);
     // ...and both tenants converged to their serial loss-free results.
     EXPECT_EQ(lossy_agg, serial_agg);
-    EXPECT_EQ(signature_of(svc.client(0)), serial_kv[0]);
-    EXPECT_EQ(signature_of(svc.client(1)), serial_kv[1]);
+    EXPECT_EQ(svc.client(0).history(), serial_kv[0]);
+    EXPECT_EQ(svc.client(1).history(), serial_kv[1]);
     EXPECT_EQ(kv_stats.get_replies, kv_stats.gets_sent);
     EXPECT_EQ(kv_stats.put_acks, kv_stats.puts_sent);
 }
