@@ -26,9 +26,15 @@
 // exactly that), racing requests are NACKed and self-correct (none
 // abandoned), and the final read returns the final written version.
 //
+// Control-plane timings (not gated): wall ns per rebalance_racks() call
+// in part A's 4-rack run, timed around the bench's own scheduled
+// callback, and wall ns per ReplyCache::record on a 16,384-seq stream
+// that runs past the cache's 4,096-seq window.
+//
 // Writes BENCH_kv_shard.json. DAIET_SCALE scales requests per client.
 // Exits nonzero when any claim fails — the bench doubles as a CI gate.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -37,6 +43,7 @@
 #include "directory/sharded_service.hpp"
 #include "kvcache/service.hpp"
 #include "trace/slo.hpp"
+#include "transport/request_reply.hpp"
 
 namespace {
 
@@ -68,9 +75,17 @@ dir::ShardedKvOptions rack_options(std::size_t racks) {
 
 // ---------------------------------------------------------------- part A
 
+using Clock = std::chrono::steady_clock;
+
+double ns_since(Clock::time_point t0) {
+    return std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
+}
+
 struct ScalingResult {
     dir::ShardedKvRunStats stats;
     double throughput_per_us{0};  ///< completed requests per microsecond
+    std::uint64_t rebalance_calls{0};
+    double rebalance_ns{0};  ///< wall time summed over rebalance_racks() calls
 };
 
 ScalingResult run_scaling(std::size_t racks, std::size_t requests) {
@@ -88,22 +103,46 @@ ScalingResult run_scaling(std::size_t racks, std::size_t requests) {
     // Closed loop: demand adapts to capacity, so throughput measures the
     // deployment rather than open-loop queueing artifacts.
     svc.fleet().start_closed_loop(wl);
+    ScalingResult out;
     // Promotion windows for the rack caches (generous horizon: extra
     // passes after the traffic drains are harmless).
     const sim::SimTime horizon = requests * 12 * sim::kMicrosecond;
     for (sim::SimTime at = 100 * sim::kMicrosecond; at <= horizon;
          at += 100 * sim::kMicrosecond) {
-        rt.simulator().schedule_at(at, [&svc] { svc.rebalance_racks(); });
+        rt.simulator().schedule_at(at, [&svc, &out] {
+            const auto t0 = Clock::now();
+            svc.rebalance_racks();
+            out.rebalance_ns += ns_since(t0);
+            ++out.rebalance_calls;
+        });
     }
     rt.run();
 
-    ScalingResult out;
     out.stats = svc.collect();
     const auto span = static_cast<double>(out.stats.last_completion) /
                       static_cast<double>(sim::kMicrosecond);
     out.throughput_per_us =
         span <= 0 ? 0.0 : static_cast<double>(out.stats.completed()) / span;
     return out;
+}
+
+/// Best-of-5 wall ns per ReplyCache::record over one client's seqs
+/// 1..16,384 (each a 32-byte reply) at the default 4,096-seq window:
+/// three quarters of the records advance a full window.
+double reply_cache_record_ns() {
+    constexpr std::uint32_t kSeqs = 16'384;
+    double best = 0;
+    for (int rep = 0; rep < 5; ++rep) {
+        std::vector<std::vector<std::byte>> replies(kSeqs, std::vector<std::byte>(32));
+        transport::ReplyCache cache;
+        const auto t0 = Clock::now();
+        for (std::uint32_t seq = 1; seq <= kSeqs; ++seq) {
+            cache.record(/*client=*/1, seq, std::move(replies[seq - 1]));
+        }
+        const double ns = ns_since(t0) / kSeqs;
+        if (rep == 0 || ns < best) best = ns;
+    }
+    return best;
 }
 
 // ---------------------------------------------------------------- part B
@@ -231,9 +270,13 @@ int main() {
     std::printf("%-6s %12s %10s %10s %12s %12s\n", "racks", "tput/us", "hit",
                 "edge_hit", "mean_get_us", "p99_get_us");
     double tput[2] = {0, 0};
+    double rebalance_ns_per_call = 0;
     for (const std::size_t racks : {std::size_t{1}, std::size_t{4}}) {
         const ScalingResult r = run_scaling(racks, requests);
         tput[racks == 4] = r.throughput_per_us;
+        if (racks == 4 && r.rebalance_calls > 0) {
+            rebalance_ns_per_call = r.rebalance_ns / static_cast<double>(r.rebalance_calls);
+        }
         std::printf("%-6zu %12.3f %9.1f%% %9.1f%% %12.1f %12.1f\n", racks,
                     r.throughput_per_us, 100.0 * r.stats.hit_rate(),
                     r.stats.get_replies == 0
@@ -274,6 +317,14 @@ int main() {
         std::puts("FAIL: 4 racks did not double the 1-rack throughput");
         healthy = false;
     }
+
+    const double record_ns = reply_cache_record_ns();
+    std::printf("control plane: %.0f ns per rebalance_racks() (4 racks), "
+                "%.1f ns per ReplyCache::record\n",
+                rebalance_ns_per_call, record_ns);
+    json.push("control_plane")
+        .number("rebalance_racks_ns_per_call", rebalance_ns_per_call)
+        .number("reply_cache_record_ns", record_ns);
 
     // ---- part B ------------------------------------------------------------
     std::puts("\npart B: sharded run == unsharded serial reference");

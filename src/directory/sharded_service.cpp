@@ -148,6 +148,11 @@ kv::KvCacheSwitchProgram* ShardedKvService::rack_cache(std::size_t shard) {
     return racks_[shard].cache.get();
 }
 
+kv::KvCacheController* ShardedKvService::rack_controller(std::size_t shard) {
+    DAIET_EXPECTS(shard < racks_.size());
+    return racks_[shard].controller.get();
+}
+
 EdgeCacheSwitchProgram& ShardedKvService::edge(std::size_t i) {
     DAIET_EXPECTS(i < edges_.size());
     return *edges_[i];

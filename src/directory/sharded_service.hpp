@@ -95,6 +95,8 @@ public:
     sim::NodeId directory_node() const noexcept { return directory_node_; }
     /// The rack cache tenant of `shard`; nullptr when disabled.
     kv::KvCacheSwitchProgram* rack_cache(std::size_t shard);
+    /// The rack cache's controller of `shard`; nullptr when disabled.
+    kv::KvCacheController* rack_controller(std::size_t shard);
     std::size_t num_edges() const noexcept { return edges_.size(); }
     EdgeCacheSwitchProgram& edge(std::size_t i);
 

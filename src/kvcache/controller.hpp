@@ -23,10 +23,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/key_index.hpp"
 #include "kvcache/store.hpp"
 #include "kvcache/switch_program.hpp"
 
@@ -104,20 +104,80 @@ public:
     static constexpr std::uint32_t kStuckWindows = 3;
 
 private:
-    /// Shared tail of both modes: evict cached keys outside `target`,
+    static constexpr std::uint32_t kNoSlot = 0xffffffffU;
+
+    /// EWMA state of one scored key.
+    struct Scored {
+        Key16 key{};
+        double score{0};
+        /// Consecutive windows absent from both hotness views.
+        std::uint32_t absent_streak{0};
+        /// Last window either view saw the key.
+        std::uint32_t seen{0};
+        /// The key's flight_cell() (computed once per Scored).
+        std::uint32_t cell{0};
+        /// The cache slot holding the key, valid when slot_window is
+        /// the current window.
+        std::uint32_t slot{0};
+        std::uint32_t slot_window{0};
+        /// false once the score decayed away (the record is free).
+        bool live{true};
+        /// The key's store entry (nullptr: not in the store), valid
+        /// while the store's key_set_version() is `store_version`.
+        const WireValue* value{nullptr};
+        std::uint64_t store_version{~std::uint64_t{0}};
+    };
+
+    /// One key of the window's target hot set.
+    struct Target {
+        Key16 key{};
+        WireValue value{0};
+        std::uint32_t cell{0};
+        std::uint32_t slot{kNoSlot};  ///< cache slot, when cached
+    };
+
+    /// A sketch-driven candidate.
+    struct Candidate {
+        double score{0};
+        Key16 key{};
+        std::uint32_t slot{kNoSlot};  ///< cache slot, when cached
+        /// The key's store entry, once looked up.
+        const WireValue* value{nullptr};
+    };
+
+    /// EWMA mode: age and fold the two hotness views into scored_,
+    /// then rank them into target_.
+    void select_ewma();
+    /// Sketch-driven mode: rank the source's window and the cache's
+    /// hit counters into target_. False when the window is empty.
+    bool select_sketch();
+    /// Shared tail of both modes: evict cached keys outside target_,
     /// (re-)install every target key, heal wedged in-flight state.
-    void apply_target(const std::vector<Key16>& target);
+    void apply_target();
 
     KvCacheSwitchProgram* cache_;
     KvStoreServer* server_;
     HotKeySource hot_source_;
-    std::unordered_map<Key16, double> score_;
-    /// Consecutive windows each scored key was absent from both
-    /// hotness views (erased the moment it reappears).
-    std::unordered_map<Key16, std::uint32_t> absent_streak_;
+    /// The current window (stamps Scored::seen and slot_window).
+    std::uint32_t window_{0};
+    std::vector<Scored> scored_;
+    KeyIndex scored_index_;
+    /// Dead records of scored_, reused before it grows.
+    std::vector<std::uint32_t> free_;
+    /// The live records of scored_, ranked score-desc, key-asc as of
+    /// the last window.
+    std::vector<std::uint32_t> order_;
     /// Consecutive rebalances each wanted key spent blocked by
-    /// outstanding_writes() (erased the moment it unblocks).
-    std::unordered_map<Key16, std::uint32_t> blocked_streak_;
+    /// outstanding_writes(), sorted by key (a key leaves the moment
+    /// it unblocks).
+    std::vector<std::pair<Key16, std::uint32_t>> blocked_streak_;
+    // Per-window scratch, kept to reuse its capacity.
+    std::vector<Candidate> candidates_;
+    std::vector<std::uint32_t> ranked_;
+    std::vector<Target> target_;
+    std::vector<std::uint8_t> keep_;
+    std::vector<std::pair<Key16, std::uint32_t>> still_blocked_;
+    KeyIndex sketch_index_;
     Stats stats_;
 };
 

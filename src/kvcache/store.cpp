@@ -85,7 +85,7 @@ void KvStoreServer::on_datagram(sim::HostAddr src, std::uint16_t src_port,
         }
     } else {
         ++stats_.puts;
-        store_[msg.key] = msg.value;
+        put(msg.key, msg.value);
         reply.op = KvOp::kPutAck;
         reply.flags |= kKvFlagFound;
         reply.value = msg.value;

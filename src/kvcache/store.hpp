@@ -59,16 +59,25 @@ public:
     sim::HostAddr addr() const noexcept;
 
     /// Control-plane load (no traffic, no service time).
-    void preload(const Key16& key, WireValue value) { store_[key] = value; }
+    void preload(const Key16& key, WireValue value) { put(key, value); }
 
     /// Control-plane removal (no traffic): the directory controller's
     /// half of a range migration — keys copied to the new rack are
     /// erased here so the old rack cannot serve them ever again.
-    bool erase(const Key16& key) { return store_.erase(key) > 0; }
+    bool erase(const Key16& key) {
+        if (store_.erase(key) == 0) return false;
+        ++key_set_version_;
+        return true;
+    }
 
     const std::unordered_map<Key16, WireValue>& store() const noexcept {
         return store_;
     }
+    /// Bumped whenever a key enters or leaves store(). While it holds
+    /// still, a pointer into store() stays valid (the map's nodes never
+    /// move) and a key found missing stays missing, so a reader may
+    /// keep both instead of probing again.
+    std::uint64_t key_set_version() const noexcept { return key_set_version_; }
 
     /// GETs that reached the server per key since the last clear — the
     /// cache's misses, i.e. the controller's promotion candidates.
@@ -82,10 +91,14 @@ public:
 private:
     void on_datagram(sim::HostAddr src, std::uint16_t src_port,
                      std::span<const std::byte> payload);
+    void put(const Key16& key, WireValue value) {
+        if (store_.insert_or_assign(key, value).second) ++key_set_version_;
+    }
 
     sim::Host* host_;
     KvConfig config_;
     std::unordered_map<Key16, WireValue> store_;
+    std::uint64_t key_set_version_{0};
     std::unordered_map<Key16, std::uint64_t> access_log_;
     transport::ReplyCache replies_;
     sim::SimTime worker_free_at_{0};

@@ -252,24 +252,36 @@ void KvCacheSwitchProgram::serve_hit(dp::PacketContext& ctx,
 }
 
 bool KvCacheSwitchProgram::insert(const Key16& key, WireValue value) {
-    // Writes to `key` between this switch and their returning ACKs make
-    // the control-plane snapshot in `value` unsafe to serve: install a
-    // *shadow* entry instead (invalid, pending set to the conservative
-    // in-flight bound) and let the final ACK validate the slot with the
-    // server-serialized value. Collisions in the hashed bound can leave
-    // pending stuck above zero; the next quiescent insert repairs it.
     const std::uint32_t inflight = outstanding_writes(key);
     if (const std::uint16_t* slot = index_.peek(key)) {
-        values_.poke(*slot, value);
-        if (inflight == 0) {
-            pending_.poke(*slot, 0);
-            valid_.poke(*slot, 1);
-        } else if (pending_.peek(*slot) == 0) {
-            pending_.poke(*slot, inflight);
-            valid_.poke(*slot, 0);
-        }
+        refresh(*slot, value, inflight);
         return true;
     }
+    return install(key, value, inflight);
+}
+
+void KvCacheSwitchProgram::refresh(std::size_t slot, WireValue value,
+                                   std::uint32_t inflight) {
+    // Writes to the key between this switch and their returning ACKs
+    // make the control-plane snapshot in `value` unsafe to serve: keep
+    // (or make) the entry a *shadow* — invalid, pending set to the
+    // conservative in-flight bound — and let the final ACK validate
+    // the slot with the server-serialized value. Collisions in the
+    // hashed bound can leave pending stuck above zero; the next
+    // quiescent refresh repairs it.
+    DAIET_EXPECTS(!slot_key_[slot].empty());
+    values_.poke(slot, value);
+    if (inflight == 0) {
+        pending_.poke(slot, 0);
+        valid_.poke(slot, 1);
+    } else if (pending_.peek(slot) == 0) {
+        pending_.poke(slot, inflight);
+        valid_.poke(slot, 0);
+    }
+}
+
+bool KvCacheSwitchProgram::install(const Key16& key, WireValue value,
+                                   std::uint32_t inflight) {
     if (free_slots_.empty()) return false;
     const std::uint16_t slot = free_slots_.back();
     free_slots_.pop_back();
@@ -285,26 +297,18 @@ bool KvCacheSwitchProgram::insert(const Key16& key, WireValue value) {
 bool KvCacheSwitchProgram::erase(const Key16& key) {
     const std::uint16_t* found = index_.peek(key);
     if (found == nullptr) return false;
-    const std::uint16_t slot = *found;
-    index_.remove(key);
+    erase_slot(*found);
+    return true;
+}
+
+void KvCacheSwitchProgram::erase_slot(std::size_t slot) {
+    DAIET_EXPECTS(!slot_key_[slot].empty());
+    index_.remove(slot_key_[slot]);
     slot_key_[slot] = Key16{};
     valid_.poke(slot, 0);
     hits_.poke(slot, 0);
     pending_.poke(slot, 0);
-    free_slots_.push_back(slot);
-    return true;
-}
-
-std::vector<std::pair<Key16, std::uint32_t>> KvCacheSwitchProgram::hit_counts()
-    const {
-    std::vector<std::pair<Key16, std::uint32_t>> out;
-    out.reserve(cached_keys());
-    for (std::size_t s = 0; s < slots_; ++s) {
-        if (!slot_key_[s].empty()) {
-            out.emplace_back(slot_key_[s], hits_.peek(s));
-        }
-    }
-    return out;
+    free_slots_.push_back(static_cast<std::uint16_t>(slot));
 }
 
 void KvCacheSwitchProgram::reset_hot_counters() { hits_.fill(0); }
@@ -322,11 +326,14 @@ void KvCacheSwitchProgram::reset_flight_state() {
 }
 
 std::uint32_t KvCacheSwitchProgram::outstanding_writes(const Key16& key) const {
-    // Same hash pipeline the dataplane uses, read out of band. Note
-    // write_flight_ is live in-flight state, not a per-window counter:
-    // reset_hot_counters() must never touch it.
-    return write_flight_.peek(
-        register_index_from_crc(Crc32::compute(key.bytes()), write_flight_.size()));
+    // Note write_flight_ is live in-flight state, not a per-window
+    // counter: reset_hot_counters() must never touch it.
+    return writes_in_flight(flight_cell(key));
+}
+
+std::size_t KvCacheSwitchProgram::flight_cell(const Key16& key) const {
+    // Same hash pipeline the dataplane uses, read out of band.
+    return register_index_from_crc(Crc32::compute(key.bytes()), write_flight_.size());
 }
 
 }  // namespace daiet::kv

@@ -131,11 +131,28 @@ public:
     /// Remove a cached key; returns false when it was not cached.
     bool erase(const Key16& key);
     bool contains(const Key16& key) const { return index_.peek(key) != nullptr; }
-    std::size_t cached_keys() const noexcept { return slots_ - free_slots_.size(); }
     std::size_t capacity() const noexcept { return slots_; }
 
-    /// Per-cached-key hit counters since the last reset, in slot order.
-    std::vector<std::pair<Key16, std::uint32_t>> hit_counts() const;
+    // Slot-indexed control plane, for a controller that already knows
+    // where each key sits (no index lookup, no CRC per call).
+    /// The key cached in `slot` (empty when the slot is free).
+    const Key16& slot_key(std::size_t slot) const { return slot_key_[slot]; }
+    /// `slot`'s hit counter since the last reset.
+    std::uint32_t slot_hits(std::size_t slot) const { return hits_.peek(slot); }
+    /// Cell of `key`'s hashed outstanding-write counter; fixed for the
+    /// cache's lifetime.
+    std::size_t flight_cell(const Key16& key) const;
+    /// outstanding_writes() of every key whose flight_cell() is `cell`.
+    std::uint32_t writes_in_flight(std::size_t cell) const {
+        return write_flight_.peek(cell);
+    }
+    /// insert() of an already cached key by its slot, with `inflight`
+    /// = writes_in_flight() of the key's cell.
+    void refresh(std::size_t slot, WireValue value, std::uint32_t inflight);
+    /// insert() of a key that is not cached; false when no slot is free.
+    bool install(const Key16& key, WireValue value, std::uint32_t inflight);
+    /// erase() by slot; the slot must hold a key.
+    void erase_slot(std::size_t slot);
     /// Start a new observation window (hit counters).
     void reset_hot_counters();
     /// Writes to `key` (or a hash-colliding key — conservative) that
@@ -175,7 +192,7 @@ private:
     /// drained — what makes the counters idempotent under replay.
     dp::RegisterArray<std::uint64_t> put_seen_;
     dp::RegisterArray<std::uint64_t> ack_seen_;
-    /// Control-plane shadow of index_ (slot -> key) for hit_counts().
+    /// Control-plane shadow of index_ (slot -> key) for slot_key().
     std::vector<Key16> slot_key_;
     /// Lazily interned trace label for this tenant (0 = not interned).
     std::uint32_t trace_name_id_{0};

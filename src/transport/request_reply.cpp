@@ -265,10 +265,7 @@ Sighting ReplyCache::classify(sim::HostAddr client, std::uint32_t seq) const {
     if (it == clients_.end()) return Sighting::kNew;
     const PerClient& pc = it->second;
     if (pc.replies.contains(seq)) return Sighting::kDuplicate;
-    if (pc.max_seq > window_ && seq <= pc.max_seq - window_) {
-        return Sighting::kForgotten;
-    }
-    return Sighting::kNew;
+    return seq <= floor_of(pc.max_seq) ? Sighting::kForgotten : Sighting::kNew;
 }
 
 const std::vector<std::byte>* ReplyCache::find(sim::HostAddr client,
@@ -283,14 +280,23 @@ void ReplyCache::record(sim::HostAddr client, std::uint32_t seq,
                         std::vector<std::byte> reply) {
     if (seq == 0) return;
     PerClient& pc = clients_[client];
-    pc.replies[seq] = std::move(reply);
-    if (seq > pc.max_seq) {
-        pc.max_seq = seq;
-        if (pc.max_seq > window_) {
-            const std::uint32_t floor = pc.max_seq - window_;
-            std::erase_if(pc.replies,
-                          [floor](const auto& e) { return e.first <= floor; });
-        }
+    const std::uint32_t old_floor = floor_of(pc.max_seq);
+    pc.replies.insert_or_assign(seq, std::move(reply));
+    if (seq <= old_floor) pc.below_floor = true;
+    if (seq <= pc.max_seq) return;
+    pc.max_seq = seq;
+    const std::uint32_t floor = floor_of(seq);
+    if (floor == old_floor) return;
+    // Prune what fell out of the window. The last advance already
+    // pruned everything at or below old_floor (unless below_floor), so
+    // only seqs in (old_floor, floor] can be left: erase those by key
+    // when that is cheaper than a scan. The cost is the window's
+    // advance, not its size.
+    if (pc.below_floor || floor - old_floor > pc.replies.size()) {
+        std::erase_if(pc.replies, [floor](const auto& e) { return e.first <= floor; });
+        pc.below_floor = false;
+    } else {
+        for (std::uint32_t s = old_floor + 1; s <= floor; ++s) pc.replies.erase(s);
     }
 }
 

@@ -209,7 +209,15 @@ private:
     struct PerClient {
         std::unordered_map<std::uint32_t, std::vector<std::byte>> replies;
         std::uint32_t max_seq{0};
+        /// A seq at or below the pruning floor was recorded since the
+        /// last prune (a caller that skipped classify()).
+        bool below_floor{false};
     };
+
+    /// Seqs at or below this are pruned once max_seq reaches it.
+    std::uint32_t floor_of(std::uint32_t max_seq) const noexcept {
+        return max_seq > window_ ? max_seq - window_ : 0;
+    }
 
     std::uint32_t window_;
     std::unordered_map<sim::HostAddr, PerClient> clients_;

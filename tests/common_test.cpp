@@ -5,11 +5,13 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/bytes.hpp"
 #include "common/fixed_key.hpp"
 #include "common/hash.hpp"
+#include "common/key_index.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -493,6 +495,57 @@ TEST(TextTable, RendersAlignedColumns) {
 TEST(TextTable, Formatters) {
     EXPECT_EQ(TextTable::fmt(3.14159, 2), "3.14");
     EXPECT_EQ(TextTable::pct(0.885, 1), "88.5%");
+}
+
+// KeyIndex against std::unordered_map under insert/erase churn: a
+// 96-key universe over a table that stays small, so probe runs collide
+// and wrap and backward-shift deletion is exercised constantly.
+TEST(KeyIndex, MatchesUnorderedMapUnderChurn) {
+    std::vector<Key16> records;  // position -> key, positions reused
+    std::vector<std::uint32_t> free;
+    const auto key_of = [&records](std::uint32_t pos) -> const Key16& { return records[pos]; };
+    KeyIndex index;
+    std::unordered_map<Key16, std::uint32_t> model;
+    Rng rng{5};
+    for (int step = 0; step < 40'000; ++step) {
+        const Key16 key = Key16::from_u64(rng.next_below(96));
+        const auto it = model.find(key);
+        if (rng.next_bool(0.55)) {
+            const auto pos = free.empty() ? static_cast<std::uint32_t>(records.size()) : free.back();
+            const std::uint32_t got = index.emplace(key, pos, key_of);
+            if (it != model.end()) {
+                ASSERT_EQ(got, it->second);
+            } else {
+                ASSERT_EQ(got, pos);
+                if (free.empty()) {
+                    records.push_back(key);
+                } else {
+                    records[pos] = key;
+                    free.pop_back();
+                }
+                model.emplace(key, pos);
+            }
+        } else if (it != model.end()) {
+            index.erase(key, key_of);
+            free.push_back(it->second);
+            model.erase(it);
+        }
+        ASSERT_EQ(index.size(), model.size());
+        if (step % 64 == 0) {
+            for (std::uint64_t k = 0; k < 100; ++k) {
+                const Key16 probe = Key16::from_u64(k);
+                const auto m = model.find(probe);
+                ASSERT_EQ(index.find(probe, key_of), m == model.end() ? KeyIndex::kNone : m->second)
+                    << "step " << step << " key " << k;
+            }
+        }
+        if (step == 20'000) {  // a reset forgets everything
+            index.reset(8);
+            model.clear();
+            records.clear();
+            free.clear();
+        }
+    }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <vector>
 
@@ -432,6 +433,139 @@ TEST(Rebalance, TelemetryRankingMovesHotRangesOffTheHotRack) {
     // Every read still completed, with the preload values.
     const kv::KvClient::Stats c0 = svc.client(0).stats();
     EXPECT_EQ(c0.abandoned, 0u);
+}
+
+// --------------------------------------------------------------- golden
+
+/// FNV-1a over every client's sorted (req_id, op, key, value) outcomes.
+std::uint64_t history_digest(const std::vector<kv::KvClient::History>& histories) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (const kv::KvClient::History& history : histories) {
+        mix(history.size());
+        for (const auto& [req_id, op, key, value] : history) {
+            mix(req_id);
+            mix(static_cast<std::uint64_t>(op));
+            mix(fnv1a64(key.bytes()));
+            mix(value);
+        }
+    }
+    return h;
+}
+
+/// What a golden run pins: the reply-history digest, each rack
+/// controller's {rebalances, promotions, evictions, shadow_promotions,
+/// flight_resets}, and the last completion time.
+struct GoldenRun {
+    std::uint64_t digest{0};
+    std::vector<std::array<std::uint64_t, 5>> racks;
+    sim::SimTime last_completion{0};
+    std::uint64_t migrations{0};
+    bool all_answered{false};
+};
+
+/// A fixed sharded run exercising the rack-cache control plane: lossy
+/// links (retransmits, reply-cache replays, shadow promotions and
+/// flight resets), writes, hot-set drift and rack rebalances every
+/// 50 µs. `migrate`: telemetry-ranked directory rebalances move ranges
+/// between racks mid-run. `sketch`: racks 2-3 promote sketch-driven off
+/// their ToR's telemetry (the others by EWMA).
+GoldenRun golden_run(bool migrate, bool sketch) {
+    rt::ClusterOptions fab = fabric(6, 12);
+    fab.seed = 5;
+    fab.link.loss_probability = 0.002;
+    rt::ClusterRuntime rt{fab};
+    telemetry::TelemetryOptions tel_opts;
+    tel_opts.collector_host = 1;
+    telemetry::TelemetryService tel{rt, tel_opts};
+    ShardedKvOptions opts;
+    opts.server_hosts = {0, 2, 4, 6};
+    opts.client_hosts = {8, 9, 10, 11};
+    opts.config.cache_slots = 16;
+    ShardedKvService svc{rt, opts};
+
+    kv::KvWorkload wl;
+    wl.num_keys = 512;
+    wl.requests_per_client = 1500;
+    wl.get_fraction = 0.75;
+    wl.partition_keys = true;
+    wl.request_interval = 3 * sim::kMicrosecond;
+    wl.rebalance_interval = 50 * sim::kMicrosecond;
+    wl.hotset_rotate_every = 300;
+    wl.hotset_rotate_by = 24;
+    wl.seed = 11;
+    const sim::SimTime horizon = 5 * sim::kMillisecond;
+    tel.start(100 * sim::kMicrosecond, horizon);
+    if (migrate) {
+        svc.schedule_rebalances(250 * sim::kMicrosecond, horizon,
+                                tel.collector().hot_key_source_for(svc.directory_node()));
+    }
+    if (sketch) {
+        for (std::size_t r = 2; r < 4; ++r) {
+            const sim::Host& server = rt.host(opts.server_hosts[r]);
+            svc.rack_controller(r)->set_hot_key_source(tel.collector().hot_key_source_for(
+                rt.network().edge_switch_of(server)->id()));
+        }
+    }
+    const ShardedKvRunStats stats = svc.run(wl);
+    EXPECT_EQ(stats.abandoned, 0u);
+
+    GoldenRun out;
+    out.digest = history_digest(svc.fleet().histories());
+    for (std::size_t r = 0; r < svc.num_shards(); ++r) {
+        const kv::KvCacheController::Stats& c = svc.rack_controller(r)->stats();
+        out.racks.push_back({c.rebalances, c.promotions, c.evictions, c.shadow_promotions,
+                             c.flight_resets});
+    }
+    out.last_completion = stats.last_completion;
+    out.migrations = stats.control.migrations_completed;
+    out.all_answered = stats.completed() == stats.gets_sent + stats.puts_sent;
+    return out;
+}
+
+// Both runs' values were recorded before the controller and reply-cache
+// rewrites (scan-pruned ReplyCache, node-based controller state).
+TEST(ShardedGolden, EwmaRackCachesAcrossMigrationsArePinned) {
+    const GoldenRun run = golden_run(/*migrate=*/true, /*sketch=*/false);
+    EXPECT_EQ(run.digest, 0xc30f78e041044b0dULL);
+    EXPECT_EQ(run.last_completion, 16'445'860);
+    EXPECT_EQ(run.migrations, 8u);
+    const std::vector<std::array<std::uint64_t, 5>> racks{
+        {90, 182, 166, 5, 9},
+        {90, 205, 189, 2, 7},
+        {90, 165, 149, 2, 10},
+        {90, 171, 155, 0, 10},
+    };
+    EXPECT_EQ(run.racks, racks);
+}
+
+TEST(ShardedGolden, SketchAndEwmaRackCachesArePinned) {
+    const GoldenRun run = golden_run(/*migrate=*/false, /*sketch=*/true);
+    EXPECT_EQ(run.digest, 0xc30f78e041044b0dULL);
+    EXPECT_EQ(run.last_completion, 14'442'480);
+    EXPECT_EQ(run.migrations, 0u);
+    const std::vector<std::array<std::uint64_t, 5>> racks{
+        {90, 180, 164, 3, 10},
+        {90, 210, 194, 0, 8},
+        {90, 109, 93, 14, 14},
+        {90, 87, 71, 7, 11},
+    };
+    EXPECT_EQ(run.racks, racks);
+}
+
+// A sketch-driven rack cache whose range migrates away still holds the
+// range's keys, which the sketch no longer reports: the controller must
+// evict them (there is no store value to refresh them with), not fail.
+TEST(ShardedGolden, SketchRackCachesSurviveMigrations) {
+    const GoldenRun run = golden_run(/*migrate=*/true, /*sketch=*/true);
+    EXPECT_GT(run.migrations, 0u);
+    EXPECT_TRUE(run.all_answered);
+    EXPECT_EQ(run.digest, 0xc30f78e041044b0dULL);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -308,6 +309,148 @@ TEST(ReplyCache, AtMostOnceClassificationAndPruning) {
     EXPECT_EQ(cache.classify(client, 12), transport::Sighting::kDuplicate);
     // Other clients have independent seq spaces.
     EXPECT_EQ(cache.classify(client + 1, 12), transport::Sighting::kNew);
+}
+
+/// Reference ReplyCache: prunes by scanning the whole per-client map on
+/// every advance of the client's max seq.
+class ScanningReplyCache {
+public:
+    explicit ScanningReplyCache(std::uint32_t window) : window_{window} {}
+
+    transport::Sighting classify(sim::HostAddr client, std::uint32_t seq) const {
+        if (seq == 0) return transport::Sighting::kNew;
+        const auto it = clients_.find(client);
+        if (it == clients_.end()) return transport::Sighting::kNew;
+        const PerClient& pc = it->second;
+        if (pc.replies.contains(seq)) return transport::Sighting::kDuplicate;
+        if (pc.max_seq > window_ && seq <= pc.max_seq - window_) {
+            return transport::Sighting::kForgotten;
+        }
+        return transport::Sighting::kNew;
+    }
+
+    const std::vector<std::byte>* find(sim::HostAddr client, std::uint32_t seq) const {
+        const auto it = clients_.find(client);
+        if (it == clients_.end()) return nullptr;
+        const auto rit = it->second.replies.find(seq);
+        return rit == it->second.replies.end() ? nullptr : &rit->second;
+    }
+
+    void record(sim::HostAddr client, std::uint32_t seq, std::vector<std::byte> reply) {
+        if (seq == 0) return;
+        PerClient& pc = clients_[client];
+        pc.replies[seq] = std::move(reply);
+        if (seq > pc.max_seq) {
+            pc.max_seq = seq;
+            if (pc.max_seq > window_) {
+                const std::uint32_t floor = pc.max_seq - window_;
+                std::erase_if(pc.replies, [floor](const auto& e) { return e.first <= floor; });
+            }
+        }
+    }
+
+    std::size_t entries() const {
+        std::size_t n = 0;
+        for (const auto& [client, pc] : clients_) n += pc.replies.size();
+        return n;
+    }
+    std::size_t entries(sim::HostAddr client) const {
+        const auto it = clients_.find(client);
+        return it == clients_.end() ? 0 : it->second.replies.size();
+    }
+
+private:
+    struct PerClient {
+        std::unordered_map<std::uint32_t, std::vector<std::byte>> replies;
+        std::uint32_t max_seq{0};
+    };
+    std::uint32_t window_;
+    std::unordered_map<sim::HostAddr, PerClient> clients_;
+};
+
+// Per-client seq streams with gaps (and rare jumps past a whole
+// window), reordering, retransmissions and seq 0, driven the way a
+// server drives its cache. The `strays` pass also records seqs without
+// classifying them first, some of them already below the window.
+TEST(ReplyCache, MatchesScanningModelOnRandomizedStreams) {
+    constexpr std::size_t kClients = 3;
+    const std::pair<std::uint32_t, bool> passes[] = {{8, false}, {4096, false}, {8, true}};
+    for (const auto& [window, strays] : passes) {
+        SCOPED_TRACE(testing::Message() << "window " << window << (strays ? " strays" : ""));
+        transport::ReplyCache cache{window};
+        ScanningReplyCache model{window};
+        Rng rng{window};
+        std::vector<std::uint32_t> next(kClients, 1);
+        std::vector<std::vector<std::uint32_t>> sent(kClients);     // in send order
+        std::vector<std::vector<std::uint32_t>> held(kClients);     // reordered, not yet delivered
+        const std::size_t steps = 6 * window + 4000;
+
+        auto check = [&](sim::HostAddr client, std::uint32_t seq) {
+            ASSERT_EQ(cache.classify(client, seq), model.classify(client, seq)) << seq;
+            const auto* got = cache.find(client, seq);
+            const auto* want = model.find(client, seq);
+            ASSERT_EQ(got == nullptr, want == nullptr) << seq;
+            if (got != nullptr) {
+                ASSERT_EQ(*got, *want) << seq;
+            }
+        };
+
+        for (std::size_t step = 0; step < steps; ++step) {
+            const std::size_t ci = rng.next_below(kClients);
+            const auto client = static_cast<sim::HostAddr>(100 + ci);
+            std::uint32_t seq = 0;
+            const std::uint64_t pick = rng.next_below(100);
+            if (pick < 3) {
+                seq = 0;  // untransported traffic
+            } else if (pick < 15 && !sent[ci].empty()) {
+                // Retransmission of an earlier seq, possibly long pruned.
+                const std::size_t back =
+                    rng.next_below(std::min<std::size_t>(sent[ci].size(), 2 * window));
+                seq = sent[ci][sent[ci].size() - 1 - back];
+            } else if (pick < 30 && !held[ci].empty()) {
+                // A reordered request finally arrives.
+                const std::size_t i = rng.next_below(held[ci].size());
+                seq = held[ci][i];
+                held[ci].erase(held[ci].begin() + static_cast<std::ptrdiff_t>(i));
+            } else {
+                next[ci] += rng.next_bool(0.002)
+                                ? 2 * window  // a jump past the whole window
+                                : static_cast<std::uint32_t>(rng.next_below(3));
+                seq = next[ci]++;
+                if (rng.next_bool(0.1)) {
+                    held[ci].push_back(seq);  // overtaken by later seqs
+                    continue;
+                }
+            }
+            if (seq != 0) sent[ci].push_back(seq);
+
+            // Drive the cache the way a server does.
+            const transport::Sighting sighting = model.classify(client, seq);
+            ASSERT_NO_FATAL_FAILURE(check(client, seq));
+            if (sighting == transport::Sighting::kNew || (strays && rng.next_bool(0.05))) {
+                std::vector<std::byte> reply = seq_payload(seq);
+                reply.push_back(static_cast<std::byte>(step));
+                cache.record(client, seq, reply);
+                model.record(client, seq, std::move(reply));
+            }
+            ASSERT_NO_FATAL_FAILURE(check(client, seq));
+            for (std::uint32_t d : {0U, 1U, window - 1, window, window + 1}) {
+                if (next[ci] > d) {
+                    ASSERT_NO_FATAL_FAILURE(check(client, next[ci] - d));
+                }
+            }
+            ASSERT_EQ(cache.entries(), model.entries());
+            if (!strays) {
+                ASSERT_LE(model.entries(client), window);
+                ASSERT_LE(cache.entries(), kClients * window);
+            }
+        }
+        for (std::size_t ci = 0; ci < kClients; ++ci) {
+            for (std::uint32_t seq = 0; seq <= next[ci]; ++seq) {
+                ASSERT_NO_FATAL_FAILURE(check(static_cast<sim::HostAddr>(100 + ci), seq));
+            }
+        }
+    }
 }
 
 // -------------------------------------------------------- mux dispatch
